@@ -44,7 +44,6 @@ from .search import (
     extremal_colourings,
     naive_canonical_number,
     run_report,
-    with_workers,
 )
 from .witness import (
     Certificate,

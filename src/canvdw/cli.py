@@ -3,30 +3,17 @@
 Exit status 0 means success with a result, 1 means a well-formed run with no
 result (no witness, no canonical number in range, certificate rejected), and
 2 means a usage or input error.  Output for a fixed input and flag set is
-byte-identical across runs and across --threads values.
+byte-identical across runs.  The search runs on one thread; --threads is
+still accepted, and checked to be positive, so that existing command lines
+keep working, but it has no other effect.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import coloring, polynomial, search, witness
-
-ENV_THREADS = "CANVDW_THREADS"
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(ENV_THREADS)
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        return 1
-    return val if val >= 1 else 1
-
 
 def _err(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
@@ -85,8 +72,8 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         type=int,
-        default=_default_threads(),
-        help=f"worker count (default: 1, or ${ENV_THREADS})",
+        default=1,
+        help="accepted for compatibility; must be positive, has no effect",
     )
     p.add_argument("--self-check", action="store_true", help="re-verify every prune and certificate")
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
@@ -96,6 +83,8 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
 def _search_config(args: argparse.Namespace) -> search.SearchConfig:
     if args.rainbow and args.no_rainbow:
         raise _CliInputError("--rainbow and --no-rainbow are mutually exclusive")
+    if args.threads < 1:
+        raise _CliInputError(f"--threads must be positive, got {args.threads}")
     mono = _load_family(args.mono, polynomial.ROLE_MONO)
     rain = None
     if args.rainbow:
@@ -109,7 +98,6 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
         n_start=args.n_start,
         n_limit=args.n_limit,
         node_budget=args.node_budget,
-        worker_count=args.threads,
         self_check=args.self_check,
     )
 

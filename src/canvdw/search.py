@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .coloring import TypedColouring, enumerate_colourings
 from .polynomial import PolynomialFamily
 from .witness import (
     D_POLICIES,
-    POLICY_ANY,
+    KIND_MONO,
     POLICY_NONZERO,
-    _mono_step_ok,
-    _rainbow_step_ok,
-    _window_bound,
     find_witness,
+    scan_plan,
     verify_certificate,
 )
 
@@ -40,10 +37,9 @@ class EnumerationCapExceeded(RuntimeError):
 class SearchConfig:
     """Everything a search run depends on.
 
-    worker_count and split_depth only steer execution; results and reports
-    are identical for any worker_count.  self_check re-verifies every prune
-    against the full witness scanner and round-trips every witness through
-    its certificate.
+    self_check re-verifies every prune against the full witness scanner and
+    round-trips every witness through its certificate; it never changes
+    results.
     """
 
     mono_family: PolynomialFamily | None
@@ -54,8 +50,6 @@ class SearchConfig:
     n_start: int = 1
     n_limit: int = 12
     node_budget: int | None = None
-    worker_count: int = 1
-    split_depth: int = 4
     self_check: bool = False
 
     def validate(self) -> None:
@@ -65,12 +59,8 @@ class SearchConfig:
             raise ValueError(f"need 1 <= n_start <= n_limit, got {self.n_start}..{self.n_limit}")
         if self.max_classes is not None and self.max_classes < 1:
             raise ValueError(f"max_classes must be positive, got {self.max_classes}")
-        if self.worker_count < 1:
-            raise ValueError(f"worker_count must be positive, got {self.worker_count}")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError(f"node_budget must be positive, got {self.node_budget}")
-        if self.split_depth < 0:
-            raise ValueError(f"split_depth must be non-negative, got {self.split_depth}")
         if self.h < 0:
             raise ValueError(f"h must be non-negative, got {self.h}")
         no_mono = self.mono_family is None or not self.mono_family.polys
@@ -135,40 +125,13 @@ def _position_plans(
     d_policy: str,
 ) -> tuple[tuple[tuple[bool, tuple[int, ...]], ...], ...]:
     # plans[t] lists the probes completed by colouring position t+1: every
-    # witness lying inside [t+1] whose largest element is t+1.  A probe is
-    # (is_mono, zero-based element indices).
-    fams: list[tuple[bool, PolynomialFamily]] = []
-    if mono_family is not None and mono_family.polys:
-        fams.append((True, mono_family))
-    if rainbow_family is not None and rainbow_family.polys:
-        fams.append((False, rainbow_family))
-    plans: list[list[tuple[bool, tuple[int, ...]]]] = [[] for _ in range(depth_cap)]
-    seen: list[set[tuple[bool, tuple[int, ...]]]] = [set() for _ in range(depth_cap)]
-    for is_mono, fam in fams:
-        bound = _window_bound(fam, depth_cap)
-        steps: list[int] = [0] if d_policy == POLICY_ANY else []
-        for size in range(1, bound + 1):
-            steps.extend((size, -size))
-        for d in steps:
-            if is_mono and not _mono_step_ok(d_policy, d):
-                continue
-            if not is_mono and not _rainbow_step_ok(d_policy, d, h):
-                continue
-            offsets = (0,) + tuple(p.evaluate(d) for p in fam.polys)
-            if not is_mono and len(set(offsets)) != len(offsets):
-                continue
-            lo = min(offsets)
-            hi = max(offsets)
-            for pos in range(1, depth_cap + 1):
-                a = pos - hi
-                if a < 1 or a + lo < 1:
-                    continue
-                idx = tuple(a + off - 1 for off in offsets)
-                key = (is_mono, idx)
-                if key not in seen[pos - 1]:
-                    seen[pos - 1].add(key)
-                    plans[pos - 1].append(key)
-    return tuple(tuple(p) for p in plans)
+    # witness lying inside [t+1] whose largest element is t+1, once each, as
+    # (is_mono, zero-based element indices), mono probes first and each
+    # family's probes in scan order.
+    plans: list[dict[tuple[bool, tuple[int, ...]], None]] = [{} for _ in range(depth_cap)]
+    for kind, _, _, elems in scan_plan(mono_family, rainbow_family, depth_cap, h, d_policy):
+        plans[max(elems) - 1][(kind == KIND_MONO, tuple(e - 1 for e in elems))] = None
+    return tuple(tuple(sorted(p, key=lambda probe: not probe[0])) for p in plans)
 
 
 def _blocked(labels: list[int], probes) -> bool:
@@ -196,14 +159,13 @@ def _blocked(labels: list[int], probes) -> bool:
 
 
 class _CheckCtx:
-    __slots__ = ("mono_family", "rainbow_family", "h", "d_policy", "checks")
+    __slots__ = ("mono_family", "rainbow_family", "h", "d_policy")
 
     def __init__(self, cfg: SearchConfig):
         self.mono_family = cfg.mono_family
         self.rainbow_family = cfg.rainbow_family
         self.h = cfg.h
         self.d_policy = cfg.d_policy
-        self.checks = 0
 
     def assert_pruned_prefix_has_witness(self, labels: list[int]) -> None:
         truncated = TypedColouring.single(tuple(labels))
@@ -219,7 +181,6 @@ class _CheckCtx:
             raise AssertionError(
                 f"certificate for pruned prefix {tuple(labels)} failed: {verdict.reason}"
             )
-        self.checks += 1
 
 
 def _explore(
@@ -267,120 +228,30 @@ def _explore(
         labels.pop()
 
 
-def _collect_roots(
-    labels: list[int],
-    used: int,
-    split: int,
-    counts: list[int],
-    plans,
-    max_classes: int | None,
-    tally: _Tally,
-    check_ctx: _CheckCtx | None,
-    roots: list[tuple[tuple[int, ...], int]],
-) -> None:
-    depth = len(labels)
-    if depth == split:
-        roots.append((tuple(labels), used))
-        return
-    counts[depth] += 1
-    probes = plans[depth]
-    cap = used + 1 if (max_classes is None or used < max_classes) else used
-    for v in range(cap):
-        labels.append(v)
-        tally.nodes += 1
-        if tally.budget is not None and tally.nodes > tally.budget:
-            labels.pop()
-            raise _BudgetExhausted
-        if _blocked(labels, probes):
-            if check_ctx is not None:
-                check_ctx.assert_pruned_prefix_has_witness(labels)
-        else:
-            _collect_roots(
-                labels,
-                used + 1 if v == used else used,
-                split,
-                counts,
-                plans,
-                max_classes,
-                tally,
-                check_ctx,
-                roots,
-            )
-        labels.pop()
-
-
 def _run_tree(
     cfg: SearchConfig, depth_cap: int, collect_limit: int | None = None, collect: bool = False
 ) -> tuple[list[int] | None, int, list[tuple[int, ...]]]:
     """Walk the witness-free prefix tree to depth_cap.
 
     Returns (per-depth counts or None if the budget ran out, nodes expanded,
-    collected complete colourings).  Results do not depend on worker_count:
-    subtrees are disjoint and merged in lexicographic root order.
+    collected complete colourings in lexicographic order).
     """
     plans = _position_plans(
         cfg.mono_family, cfg.rainbow_family, depth_cap, cfg.h, cfg.d_policy
     )
-    split = min(cfg.split_depth, depth_cap)
     counts = [0] * (depth_cap + 1)
     tally = _Tally(cfg.node_budget)
     check_ctx = _CheckCtx(cfg) if cfg.self_check else None
-    roots: list[tuple[tuple[int, ...], int]] = []
+    collector = _Collector(collect_limit) if collect else None
     try:
-        _collect_roots(
-            [], 0, split, counts, plans, cfg.max_classes, tally, check_ctx, roots
+        _explore(
+            [], 0, counts, plans, depth_cap, cfg.max_classes, tally, check_ctx, collector
         )
     except _BudgetExhausted:
         return None, tally.nodes, []
-
-    collected: list[tuple[int, ...]] = []
-    sequential = cfg.worker_count == 1 or cfg.node_budget is not None
-
-    def explore_subtree(root: tuple[tuple[int, ...], int], shared_tally: _Tally | None):
-        prefix, used = root
-        local_counts = [0] * (depth_cap + 1)
-        local_tally = shared_tally if shared_tally is not None else _Tally(None)
-        local_collector = _Collector(collect_limit) if collect else None
-        try:
-            _explore(
-                list(prefix),
-                used,
-                local_counts,
-                plans,
-                depth_cap,
-                cfg.max_classes,
-                local_tally,
-                check_ctx,
-                local_collector,
-            )
-        except _CollectorFull:
-            pass
-        items = local_collector.items if local_collector is not None else []
-        return local_counts, local_tally.nodes, items
-
-    if sequential:
-        for root in roots:
-            try:
-                local_counts, _, items = explore_subtree(root, tally)
-            except _BudgetExhausted:
-                return None, tally.nodes, []
-            for i, c in enumerate(local_counts):
-                counts[i] += c
-            collected.extend(items)
-            if collect and collect_limit is not None and len(collected) >= collect_limit:
-                collected = collected[:collect_limit]
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.worker_count) as pool:
-            results = list(pool.map(lambda r: explore_subtree(r, None), roots))
-        for local_counts, local_nodes, items in results:
-            for i, c in enumerate(local_counts):
-                counts[i] += c
-            tally.nodes += local_nodes
-            collected.extend(items)
-        if collect and collect_limit is not None:
-            collected = collected[:collect_limit]
-    return counts, tally.nodes, collected
+    except _CollectorFull:
+        pass
+    return counts, tally.nodes, collector.items if collector is not None else []
 
 
 def canonical_number(cfg: SearchConfig) -> SearchResult:
@@ -474,10 +345,10 @@ def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
 def run_report(cfg: SearchConfig, result: SearchResult, timing: bool = False) -> str:
     """Machine-readable run report.
 
-    Echoes the semantic configuration only; execution knobs (worker count,
-    split depth, self checks) never change results and are omitted so that
-    reports are byte-identical across them.  Timing is off by default for
-    the same reason.
+    Echoes the semantic configuration only; self checks never change
+    results and are omitted, so a report is byte-identical with and without
+    them.  Wall time is left out unless timing is asked for, so that repeat
+    runs give identical bytes.
     """
     def fam(f: PolynomialFamily | None):
         return None if f is None else f.coeff_lists()
@@ -504,7 +375,3 @@ def run_report(cfg: SearchConfig, result: SearchResult, timing: bool = False) ->
         obj["wall_time"] = result.wall_time
     return json.dumps(obj, indent=2) + "\n"
 
-
-def with_workers(cfg: SearchConfig, worker_count: int) -> SearchConfig:
-    """Copy of a config with a different worker count (results unchanged)."""
-    return replace(cfg, worker_count=worker_count)

@@ -79,18 +79,34 @@ class Certificate:
             raise ValueError(f"malformed certificate: line {e.lineno}: {e.msg}") from None
         try:
             fam = obj["family"]
-            return cls(
-                kind=obj["kind"],
-                a=obj["a"],
-                d=obj["d"],
-                elements=tuple(obj["elements"]),
-                evidence=obj["evidence"],
-                family=PolynomialFamily.from_coeff_lists(fam["polys"], fam["role"]),
-                digest=obj["digest"],
-                d_policy=obj["d_policy"],
+            family = PolynomialFamily.from_coeff_lists(fam["polys"], fam["role"])
+            kind, a, d, elements, evidence, digest, d_policy = (
+                obj[key]
+                for key in ("kind", "a", "d", "elements", "evidence", "digest", "d_policy")
             )
         except (KeyError, TypeError) as e:
             raise ValueError(f"malformed certificate: {e}") from None
+        problem = None
+        if not isinstance(kind, str):
+            problem = "kind must be a string"
+        elif not (_is_int(a) and _is_int(d)):
+            problem = "a and d must be integers"
+        elif not (isinstance(elements, list) and all(map(_is_int, elements))):
+            problem = "elements must be a list of integers"
+        elif evidence is not None and not _is_int(evidence):
+            problem = "evidence must be an integer or null"
+        elif not isinstance(digest, str):
+            problem = "digest must be a string"
+        elif d_policy not in D_POLICIES:
+            problem = f"unknown d policy {d_policy!r}"
+        if problem is not None:
+            raise ValueError(f"malformed certificate: {problem}")
+        return cls(kind, a, d, tuple(elements), evidence, family, digest, d_policy)
+
+
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class VerifyResult(NamedTuple):
@@ -244,16 +260,24 @@ def _window_bound(family: PolynomialFamily, length: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _scan_plan(
+def scan_plan(
     mono_family: PolynomialFamily | None,
     rainbow_family: PolynomialFamily | None,
     length: int,
     h: int,
     d_policy: str,
 ) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-    # Ordered probe list: increasing |d|, positive step first, then
-    # increasing anchor; at each (a, d) the mono probe precedes the rainbow
-    # probe.  Each probe carries its full element tuple.
+    """Every candidate witness inside [length], in scan order.
+
+    This is the one place that decides which steps d each family admits
+    under d_policy and h, how far |d| can usefully go (the window bound),
+    and which anchors a keep all elements inside the interval.  Rainbow
+    steps whose elements repeat a position are dropped, since they can
+    never be rainbow.  Probes are (kind, a, d, elements) with kind
+    KIND_MONO or KIND_RAINBOW, ordered by increasing |d|, positive step
+    first, then increasing anchor, the mono probe before the rainbow probe
+    at each (a, d).
+    """
     fams = []
     if mono_family is not None and mono_family.polys:
         fams.append((KIND_MONO, mono_family))
@@ -313,7 +337,7 @@ def find_witness(
     """
     if d_policy not in D_POLICIES:
         raise ValueError(f"unknown d policy {d_policy!r}")
-    plan = _scan_plan(mono_family, rainbow_family, colouring.length, h, d_policy)
+    plan = scan_plan(mono_family, rainbow_family, colouring.length, h, d_policy)
     bounded = colouring.n is not None
     digest = None
     for kind, a, d, elems in plan:

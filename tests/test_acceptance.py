@@ -5,6 +5,7 @@ Each check recomputes its expected values through an independent route
 than trusting the code under test.
 """
 
+import json
 import random
 import time
 from dataclasses import replace
@@ -17,7 +18,6 @@ from canvdw.search import (
     canonical_number,
     naive_canonical_number,
     run_report,
-    with_workers,
 )
 from canvdw.witness import (
     KIND_FULLY_RAINBOW,
@@ -287,16 +287,30 @@ def test_criterion_09_certificate_round_trip():
     assert ok, (certs, violations[:5])
 
 
-def test_criterion_10_deterministic_reports():
+def test_criterion_10_deterministic_reports(tmp_path, capsys):
+    def family_file(name, f):
+        path = tmp_path / name
+        path.write_text(json.dumps({"polys": f.coeff_lists(), "role": f.role}))
+        return str(path)
+
     violations = []
     configs = [CLASSICAL] + [cfg for cfg, _, _ in _grid().values()]
-    for cfg in configs:
-        reports = set()
-        for workers in (1, 2, 8):
-            run = with_workers(cfg, workers)
-            reports.add(run_report(run, canonical_number(run)))
-        if len(reports) != 1:
-            violations.append(cfg)
+    for i, cfg in enumerate(configs):
+        expected = run_report(cfg, canonical_number(cfg)).encode()
+        argv = ["number", "--mono", family_file(f"mono{i}.json", cfg.mono_family)]
+        if cfg.rainbow_family is None:
+            argv.append("--no-rainbow")
+        else:
+            argv += ["--rainbow", family_file(f"rainbow{i}.json", cfg.rainbow_family)]
+        argv += ["--d-policy", cfg.d_policy, "--h", str(cfg.h), "--n-limit", str(cfg.n_limit)]
+        if cfg.max_classes is not None:
+            argv += ["--max-classes", str(cfg.max_classes)]
+        for workers in ("1", "2", "8"):
+            report = tmp_path / f"report{i}.t{workers}.json"
+            cli_main(argv + ["--threads", workers, "--out", str(report)])
+            capsys.readouterr()
+            if report.read_bytes() != expected:
+                violations.append((cfg, workers))
     ok = not violations
-    _line(10, ok, f"{len(configs)} configs render byte-identical reports at 1/2/8 workers")
+    _line(10, ok, f"{len(configs)} configs: reports at --threads 1/2/8 match run_report byte for byte")
     assert ok, violations

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from canvdw.cli import ENV_THREADS, main
+from canvdw.cli import main
 
 MONO_X = '{"polys": [[1]], "role": "mono"}'
 RAINBOW_X = '{"polys": [[1]], "role": "rainbow"}'
@@ -50,6 +50,15 @@ def test_witness_round_trip_through_disk(files, capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--colouring", col, "--cert", cert_path)
     assert code == 1
     assert out == "certificate rejected: element mismatch\n"
+
+    # a malformed field is an input error, not a rejection
+    obj["elements"] = [1, 2]
+    obj["a"] = "x"
+    (tmp_path / "cert.json").write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--colouring", col, "--cert", cert_path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed certificate")
 
 
 def test_witness_absent(files, capsys):
@@ -122,6 +131,9 @@ def test_number_rejects_rainbow_conflict(files, capsys):
     )
     assert code == 2
     assert "mutually exclusive" in err
+    code, out, err = run(capsys, "number", "--mono", mono, "--no-rainbow", "--threads", "0")
+    assert code == 2
+    assert "--threads" in err
 
 
 def test_number_budget_exit(files, capsys):
@@ -215,20 +227,6 @@ def test_malformed_inputs_carry_positions(files, capsys):
     missing = str(files("dir.json", "x")) + ".does-not-exist"
     code, out, err = run(capsys, "witness", "--colouring", col, "--mono", missing)
     assert code == 2
-
-
-def test_threads_env_default(files, capsys, monkeypatch):
-    mono = files("mono.json", MONO_3AP)
-    monkeypatch.setenv(ENV_THREADS, "4")
-    code, out, err = run(
-        capsys, "number", "--mono", mono, "--no-rainbow", "--max-classes", "2"
-    )
-    assert (code, out) == (0, "9\n")
-    monkeypatch.setenv(ENV_THREADS, "not-a-number")
-    code, out, err = run(
-        capsys, "number", "--mono", mono, "--no-rainbow", "--max-classes", "2"
-    )
-    assert (code, out) == (0, "9\n")
 
 
 def test_witness_with_bounded_colouring(files, capsys):

@@ -195,10 +195,28 @@ def test_certificate_json_round_trip():
     assert [k for k, _ in pairs] == [
         "kind", "a", "d", "elements", "evidence", "family", "digest", "d_policy",
     ]
+    malformed = [
+        {"a": "x"},
+        {"d": "3"},
+        {"a": 2.0},
+        {"a": True},
+        {"elements": [1, "2"]},
+        {"elements": "12"},
+        {"evidence": True},
+        {"evidence": "1"},
+        {"kind": 7},
+        {"digest": None},
+        {"d_policy": "bogus"},
+    ]
+    for change in malformed:
+        with pytest.raises(ValueError):
+            Certificate.from_json(json.dumps({**json.loads(text), **change}))
     with pytest.raises(ValueError):
         Certificate.from_json("{not json")
     with pytest.raises(ValueError):
         Certificate.from_json('{"kind": "rainbow"}')
+    with pytest.raises(ValueError):
+        Certificate.from_json("[1, 2]")
 
 
 def test_verify_certificate_rejections():
