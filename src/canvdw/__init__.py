@@ -26,7 +26,6 @@ from .polynomial import (
     PolynomialFamily,
     WeightVector,
     bstar_family,
-    d_max,
     dump_family,
     h_value,
     load_family,
@@ -53,12 +52,14 @@ from .witness import (
     VerifyResult,
     WitnessSet,
     collection_norm,
+    d_max,
     find_focused_collection,
     find_witness,
     is_focused,
     is_fully_rainbow,
     is_monochromatic,
     is_rainbow,
+    step_admitted,
     validate_collection,
     verify_certificate,
 )

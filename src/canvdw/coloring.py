@@ -135,21 +135,24 @@ def extend(prefix: Sequence[int], max_classes: int | None = None) -> Iterator[tu
 
 
 def _rgs_strings(length: int, max_classes: int | None) -> Iterator[tuple[int, ...]]:
-    # Lexicographic depth-first enumeration of restricted-growth strings.
-    def rec(prefix: list[int], used: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == length:
-            yield tuple(prefix)
+    # Lexicographic enumeration of restricted-growth strings, without
+    # recursion.  used[i] is the number of classes among labels[:i]; the
+    # next string bumps the rightmost position that can still grow (to an
+    # existing class, or to a fresh one while the palette cap allows) and
+    # resets every later position to class 0.
+    cap = length if max_classes is None else max_classes
+    labels = [0] * length
+    used = [0] + [1] * length
+    while True:
+        yield tuple(labels)
+        i = length - 1
+        while i >= 0 and (labels[i] >= used[i] or labels[i] + 1 >= cap):
+            i -= 1
+        if i < 0:
             return
-        cap = used + 1 if (max_classes is None or used < max_classes) else used
-        for v in range(cap):
-            prefix.append(v)
-            yield from rec(prefix, max(used, v + 1))
-            prefix.pop()
-
-    if length == 0:
-        yield ()
-        return
-    yield from rec([], 0)
+        labels[i] += 1
+        labels[i + 1 :] = [0] * (length - i - 1)
+        used[i + 1 :] = [max(used[i], labels[i] + 1)] * (length - i)
 
 
 def enumerate_colourings(length: int, max_classes: int | None = None) -> Iterator[TypedColouring]:

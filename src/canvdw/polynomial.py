@@ -259,6 +259,8 @@ def bstar_family(family: PolynomialFamily, h: int, d_cap: int) -> PolynomialFami
         raise ValueError("bstar_family requires a rainbow family")
     if not family.polys:
         raise ValueError("bstar_family requires a nonempty family")
+    if h < 0:
+        raise ValueError(f"h must be non-negative, got {h}")
     if d_cap <= h:
         raise ValueError(f"d_cap must exceed h, got d_cap={d_cap} h={h}")
     base = family.polys[0]
@@ -291,32 +293,6 @@ def scale_family(family: PolynomialFamily, factor: int) -> PolynomialFamily:
     return PolynomialFamily(scaled, family.role)
 
 
-def d_max(family: PolynomialFamily, interval_len: int, h: int) -> int | None:
-    """Largest step d > h whose value pattern fits inside [interval_len].
-
-    A step d fits when some anchor a has a and a + p(d) inside
-    {1, ..., interval_len} for every member p.  Returns None when no step
-    fits.  Needs at least one nonzero member, otherwise every step fits and
-    no largest one exists.
-    """
-    if interval_len < 1:
-        raise ValueError(f"interval length must be positive, got {interval_len}")
-    nonzero = family.nonzero_members()
-    if not nonzero:
-        raise ValueError("d_max undefined for a family with no nonzero members")
-    # Beyond interval_len + min coefficient mass some member always
-    # overshoots the window, so the scan below is exhaustive.
-    bound = interval_len + min(sum(abs(c) for c in p.coeffs) for p in nonzero)
-    best = None
-    for d in range(h + 1, bound + 1):
-        vals = [p.evaluate(d) for p in family.polys]
-        lo = min(0, min(vals))
-        hi = max(0, max(vals))
-        if hi - lo <= interval_len - 1:
-            best = d
-    return best
-
-
 def parse_family(text: str, default_role: str = ROLE_MONO) -> PolynomialFamily:
     """Parse a family document: JSON object with "polys" and optional "role".
 
@@ -327,6 +303,8 @@ def parse_family(text: str, default_role: str = ROLE_MONO) -> PolynomialFamily:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise FamilyFormatError(e.msg, e.lineno) from None
+    except RecursionError:
+        raise FamilyFormatError("nested too deeply") from None
     if not isinstance(obj, dict):
         raise FamilyFormatError("expected a JSON object with a 'polys' field")
     if "polys" not in obj:

@@ -12,6 +12,7 @@ pruning logic.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -88,35 +89,6 @@ class SearchResult:
     engine: str
 
 
-class _Tally:
-    __slots__ = ("nodes", "budget")
-
-    def __init__(self, budget: int | None):
-        self.nodes = 0
-        self.budget = budget
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _CollectorFull(Exception):
-    pass
-
-
-class _Collector:
-    __slots__ = ("items", "limit")
-
-    def __init__(self, limit: int | None):
-        self.items: list[tuple[int, ...]] = []
-        self.limit = limit
-
-    def add(self, item: tuple[int, ...]) -> None:
-        self.items.append(item)
-        if self.limit is not None and len(self.items) >= self.limit:
-            raise _CollectorFull
-
-
 def _position_plans(
     mono_family: PolynomialFamily | None,
     rainbow_family: PolynomialFamily | None,
@@ -158,74 +130,18 @@ def _blocked(labels: list[int], probes) -> bool:
     return False
 
 
-class _CheckCtx:
-    __slots__ = ("mono_family", "rainbow_family", "h", "d_policy")
-
-    def __init__(self, cfg: SearchConfig):
-        self.mono_family = cfg.mono_family
-        self.rainbow_family = cfg.rainbow_family
-        self.h = cfg.h
-        self.d_policy = cfg.d_policy
-
-    def assert_pruned_prefix_has_witness(self, labels: list[int]) -> None:
-        truncated = TypedColouring.single(tuple(labels))
-        cert = find_witness(
-            truncated, self.mono_family, self.rainbow_family, self.h, self.d_policy
+def _check_prune(cfg: SearchConfig, labels: list[int]) -> None:
+    # Self check: the full scanner must find a witness inside a pruned
+    # prefix, and its certificate must verify.
+    truncated = TypedColouring.single(tuple(labels))
+    cert = find_witness(truncated, cfg.mono_family, cfg.rainbow_family, cfg.h, cfg.d_policy)
+    if cert is None:
+        raise AssertionError(f"pruned prefix {tuple(labels)} has no witness inside itself")
+    verdict = verify_certificate(truncated, cert)
+    if not verdict.ok:
+        raise AssertionError(
+            f"certificate for pruned prefix {tuple(labels)} failed: {verdict.reason}"
         )
-        if cert is None:
-            raise AssertionError(
-                f"pruned prefix {tuple(labels)} has no witness inside itself"
-            )
-        verdict = verify_certificate(truncated, cert)
-        if not verdict.ok:
-            raise AssertionError(
-                f"certificate for pruned prefix {tuple(labels)} failed: {verdict.reason}"
-            )
-
-
-def _explore(
-    labels: list[int],
-    used: int,
-    counts: list[int],
-    plans,
-    depth_cap: int,
-    max_classes: int | None,
-    tally: _Tally,
-    check_ctx: _CheckCtx | None,
-    collector: _Collector | None,
-) -> None:
-    # Depth-first walk of witness-free prefixes, children in label order so
-    # complete colourings appear in lexicographic canonical order.
-    depth = len(labels)
-    counts[depth] += 1
-    if depth == depth_cap:
-        if collector is not None:
-            collector.add(tuple(labels))
-        return
-    probes = plans[depth]
-    cap = used + 1 if (max_classes is None or used < max_classes) else used
-    for v in range(cap):
-        labels.append(v)
-        tally.nodes += 1
-        if tally.budget is not None and tally.nodes > tally.budget:
-            labels.pop()
-            raise _BudgetExhausted
-        if _blocked(labels, probes):
-            if check_ctx is not None:
-                check_ctx.assert_pruned_prefix_has_witness(labels)
-        else:
-            _explore(
-                labels,
-                used + 1 if v == used else used,
-                counts,
-                plans,
-                depth_cap,
-                max_classes,
-                tally,
-                check_ctx,
-                collector,
-            )
-        labels.pop()
 
 
 def _run_tree(
@@ -233,25 +149,55 @@ def _run_tree(
 ) -> tuple[list[int] | None, int, list[tuple[int, ...]]]:
     """Walk the witness-free prefix tree to depth_cap.
 
-    Returns (per-depth counts or None if the budget ran out, nodes expanded,
-    collected complete colourings in lexicographic order).
+    The walk is depth first with children in label order, so complete
+    colourings appear in lexicographic canonical order.  It keeps its
+    position in per-depth stacks rather than on the call stack, so depth
+    is not limited by recursion.  Returns (per-depth counts or None if the
+    budget ran out, nodes expanded, collected complete colourings in
+    lexicographic order).
     """
     plans = _position_plans(
         cfg.mono_family, cfg.rainbow_family, depth_cap, cfg.h, cfg.d_policy
     )
+    # A prefix using `full` classes may not open a fresh one (-1: no cap).
+    full = -1 if cfg.max_classes is None else cfg.max_classes
+    budget = math.inf if cfg.node_budget is None else cfg.node_budget
+    self_check = cfg.self_check
     counts = [0] * (depth_cap + 1)
-    tally = _Tally(cfg.node_budget)
-    check_ctx = _CheckCtx(cfg) if cfg.self_check else None
-    collector = _Collector(collect_limit) if collect else None
-    try:
-        _explore(
-            [], 0, counts, plans, depth_cap, cfg.max_classes, tally, check_ctx, collector
-        )
-    except _BudgetExhausted:
-        return None, tally.nodes, []
-    except _CollectorFull:
-        pass
-    return counts, tally.nodes, collector.items if collector is not None else []
+    counts[0] = 1
+    collected: list[tuple[int, ...]] = []
+    # labels[:depth] is the current prefix, using used[depth] classes;
+    # labels[depth] is the last label tried at position depth.
+    labels = [-1] * depth_cap
+    used = [0] * depth_cap
+    nodes = 0
+    depth = 0
+    while depth >= 0:
+        v = labels[depth] + 1
+        u = used[depth]
+        if v > u or v == u == full:
+            depth -= 1
+            continue
+        labels[depth] = v
+        nodes += 1
+        if nodes > budget:
+            return None, nodes, []
+        if _blocked(labels, plans[depth]):
+            if self_check:
+                _check_prune(cfg, labels[: depth + 1])
+            continue
+        depth += 1
+        counts[depth] += 1
+        if depth == depth_cap:
+            depth -= 1
+            if collect:
+                collected.append(tuple(labels))
+                if collect_limit is not None and len(collected) >= collect_limit:
+                    break
+            continue
+        labels[depth] = -1
+        used[depth] = u + 1 if v == u else u
+    return counts, nodes, collected
 
 
 def canonical_number(cfg: SearchConfig) -> SearchResult:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .coloring import TypedColouring, colouring_digest
-from .polynomial import IntegralPolynomial, PolynomialFamily, ROLE_RAINBOW
+from .polynomial import PolynomialFamily, ROLE_RAINBOW
 
 KIND_MONO = "monochromatic"
 KIND_RAINBOW = "rainbow"
@@ -54,6 +54,7 @@ class Certificate:
     family: PolynomialFamily
     digest: str
     d_policy: str
+    h: int = 0
 
     def witness(self) -> WitnessSet:
         return WitnessSet(self.kind, self.a, self.d, self.elements, self.evidence)
@@ -68,6 +69,7 @@ class Certificate:
             "family": {"polys": self.family.coeff_lists(), "role": self.family.role},
             "digest": self.digest,
             "d_policy": self.d_policy,
+            "h": self.h,
         }
         return json.dumps(obj, indent=2) + "\n"
 
@@ -77,12 +79,14 @@ class Certificate:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValueError(f"malformed certificate: line {e.lineno}: {e.msg}") from None
+        except RecursionError:
+            raise ValueError("malformed certificate: nested too deeply") from None
         try:
             fam = obj["family"]
             family = PolynomialFamily.from_coeff_lists(fam["polys"], fam["role"])
-            kind, a, d, elements, evidence, digest, d_policy = (
+            kind, a, d, elements, evidence, digest, d_policy, h = (
                 obj[key]
-                for key in ("kind", "a", "d", "elements", "evidence", "digest", "d_policy")
+                for key in ("kind", "a", "d", "elements", "evidence", "digest", "d_policy", "h")
             )
         except (KeyError, TypeError) as e:
             raise ValueError(f"malformed certificate: {e}") from None
@@ -99,9 +103,11 @@ class Certificate:
             problem = "digest must be a string"
         elif d_policy not in D_POLICIES:
             problem = f"unknown d policy {d_policy!r}"
+        elif not (_is_int(h) and h >= 0):
+            problem = "h must be a non-negative integer"
         if problem is not None:
             raise ValueError(f"malformed certificate: {problem}")
-        return cls(kind, a, d, tuple(elements), evidence, family, digest, d_policy)
+        return cls(kind, a, d, tuple(elements), evidence, family, digest, d_policy, h)
 
 
 def _is_int(value) -> bool:
@@ -231,32 +237,29 @@ def validate_collection(colouring: TypedColouring, coll: FocusedCollection) -> b
     return is_rainbow(colouring, tuple(union))
 
 
-def _mono_step_ok(policy: str, d: int) -> bool:
-    if policy == POLICY_POSITIVE:
-        return d > 0
-    if policy == POLICY_ANY:
+def step_admitted(kind: str, d: int, h: int, d_policy: str) -> bool:
+    """Whether a witness of this kind may use step d under d_policy and h.
+
+    "positive" admits d > 0, "nonzero" admits d != 0 and "any" admits every
+    d.  "greater_than_h_for_rainbow" holds rainbow and fully-rainbow
+    witnesses to d > h and mono witnesses to d != 0.  This is the one step
+    rule: the scanner, both search engines, the focused-collection search,
+    d_max and the certificate verifier all apply it.
+    """
+    if d_policy not in D_POLICIES:
+        raise ValueError(f"unknown d policy {d_policy!r}")
+    if d_policy == POLICY_ANY:
         return True
-    return d != 0
-
-
-def _rainbow_step_ok(policy: str, d: int, h: int) -> bool:
-    if policy == POLICY_POSITIVE:
+    if d_policy == POLICY_POSITIVE:
         return d > 0
-    if policy == POLICY_GT_H_FOR_RAINBOW:
+    if d_policy == POLICY_GT_H_FOR_RAINBOW and kind != KIND_MONO:
         return d > h
-    if policy == POLICY_ANY:
-        return True
     return d != 0
 
 
-def _window_bound(family: PolynomialFamily, length: int) -> int:
-    # Beyond this |d| some member's value always overflows the window, so
-    # the step scan below is finite.  Families whose values never move
-    # (no nonzero member) only need |d| = 1.
-    nonzero = family.nonzero_members()
-    if not nonzero:
-        return 1
-    return length + min(sum(abs(c) for c in p.coeffs) for p in nonzero)
+def _check_h(h: int) -> None:
+    if h < 0:
+        raise ValueError(f"h must be non-negative, got {h}")
 
 
 @lru_cache(maxsize=256)
@@ -269,14 +272,14 @@ def scan_plan(
 ) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
     """Every candidate witness inside [length], in scan order.
 
-    This is the one place that decides which steps d each family admits
-    under d_policy and h, how far |d| can usefully go (the window bound),
-    and which anchors a keep all elements inside the interval.  Rainbow
-    steps whose elements repeat a position are dropped, since they can
-    never be rainbow.  Probes are (kind, a, d, elements) with kind
-    KIND_MONO or KIND_RAINBOW, ordered by increasing |d|, positive step
-    first, then increasing anchor, the mono probe before the rainbow probe
-    at each (a, d).
+    This is the one place that enumerates the steps d each family admits
+    (per step_admitted), bounds how far |d| can usefully go (the window
+    bound), and picks the anchors a that keep all elements inside the
+    interval.  Rainbow steps whose elements repeat a position are dropped,
+    since they can never be rainbow.  Probes are (kind, a, d, elements)
+    with kind KIND_MONO or KIND_RAINBOW, ordered by increasing |d|,
+    positive step first, then increasing anchor, the mono probe before the
+    rainbow probe at each (a, d).
     """
     fams = []
     if mono_family is not None and mono_family.polys:
@@ -285,20 +288,21 @@ def scan_plan(
         fams.append((KIND_RAINBOW, rainbow_family))
     if not fams:
         return ()
-    bound = max(_window_bound(f, length) for _, f in fams)
-
-    def step_ok(kind: str, d: int) -> bool:
-        if kind == KIND_MONO:
-            return _mono_step_ok(d_policy, d)
-        return _rainbow_step_ok(d_policy, d, h)
+    # Window bound: beyond it some member's value always overflows the
+    # window, so the step scan is finite.  Families whose values never move
+    # (no nonzero member) only need |d| = 1.
+    bound = 1
+    for _, fam in fams:
+        nonzero = fam.nonzero_members()
+        if nonzero:
+            bound = max(bound, length + min(sum(map(abs, p.coeffs)) for p in nonzero))
 
     plan: list[tuple[str, int, int, tuple[int, ...]]] = []
-    start = 0 if d_policy == POLICY_ANY else 1
-    for size in range(start, bound + 1):
+    for size in range(bound + 1):
         for d in ((0,) if size == 0 else (size, -size)):
             slots = []
             for kind, fam in fams:
-                if not step_ok(kind, d):
+                if not step_admitted(kind, d, h, d_policy):
                     continue
                 offsets = (0,) + tuple(p.evaluate(d) for p in fam.polys)
                 if kind == KIND_RAINBOW and len(set(offsets)) != len(offsets):
@@ -319,6 +323,23 @@ def scan_plan(
     return tuple(plan)
 
 
+def d_max(family: PolynomialFamily, interval_len: int, h: int) -> int | None:
+    """Largest step d > h whose value pattern fits inside [interval_len].
+
+    A step d fits when some anchor a has a and a + p(d) inside
+    {1, ..., interval_len} for every member p.  Returns None when no step
+    fits.  Needs at least one nonzero member, otherwise every step fits and
+    no largest one exists.
+    """
+    if interval_len < 1:
+        raise ValueError(f"interval length must be positive, got {interval_len}")
+    _check_h(h)
+    if not family.nonzero_members():
+        raise ValueError("d_max undefined for a family with no nonzero members")
+    plan = scan_plan(family, None, interval_len, 0, POLICY_POSITIVE)
+    return max((d for _, _, d, _ in plan if d > h), default=None)
+
+
 def find_witness(
     colouring: TypedColouring,
     mono_family: PolynomialFamily | None,
@@ -337,6 +358,7 @@ def find_witness(
     """
     if d_policy not in D_POLICIES:
         raise ValueError(f"unknown d policy {d_policy!r}")
+    _check_h(h)
     plan = scan_plan(mono_family, rainbow_family, colouring.length, h, d_policy)
     bounded = colouring.n is not None
     digest = None
@@ -358,7 +380,7 @@ def find_witness(
         kind_out, evidence, fam = found
         if digest is None:
             digest = colouring_digest(colouring)
-        return Certificate(kind_out, a, d, elems, evidence, fam, digest, d_policy)
+        return Certificate(kind_out, a, d, elems, evidence, fam, digest, d_policy, h)
     return None
 
 
@@ -366,8 +388,9 @@ def verify_certificate(colouring: TypedColouring, cert: Certificate) -> VerifyRe
     """Re-check a certificate bit-exactly against a colouring.
 
     Rejections carry a reason code: "kind mismatch", "digest mismatch",
-    "element mismatch", "out of range", "evidence mismatch" or
-    "predicate failed".
+    "element mismatch", "out of range", "step not admitted" (per
+    step_admitted under the certificate's d_policy and h), "evidence
+    mismatch" or "predicate failed".
     """
     if cert.kind not in (KIND_MONO, KIND_RAINBOW, KIND_FULLY_RAINBOW):
         return VerifyResult(False, "kind mismatch")
@@ -378,6 +401,8 @@ def verify_certificate(colouring: TypedColouring, cert: Certificate) -> VerifyRe
         return VerifyResult(False, "element mismatch")
     if any(not 1 <= e <= colouring.length for e in expected):
         return VerifyResult(False, "out of range")
+    if not step_admitted(cert.kind, cert.d, cert.h, cert.d_policy):
+        return VerifyResult(False, "step not admitted")
     if cert.kind == KIND_MONO:
         j = cert.evidence
         if not isinstance(j, int) or not 1 <= j <= colouring.m:
@@ -412,11 +437,11 @@ def find_focused_collection(
     """Bounded backtracking search for a valid focused collection of the
     requested norm.
 
-    Candidate members are the family's value patterns at steps d > h that
-    fit the interval, taken in increasing step order and accumulated
-    greedily with backtracking.  The search gives up once node_budget
-    include/exclude decisions have been spent; absence of a result is
-    therefore not a proof that none exists.
+    Candidate members are the family's fully-rainbow value patterns at
+    steps d > h that fit the interval with the focus, taken in increasing
+    step order and accumulated greedily with backtracking.  The search
+    gives up once node_budget include/exclude decisions have been spent;
+    absence of a result is therefore not a proof that none exists.
     """
     if colouring.n is None:
         raise ValueError("focused collections need a bounded final coordinate")
@@ -426,20 +451,17 @@ def find_focused_collection(
         raise ValueError(f"focus {focus} outside the interval")
     if target_norm < 0:
         raise ValueError(f"target norm must be non-negative, got {target_norm}")
+    _check_h(h)
     if target_norm == 0:
         return FocusedCollection(focus, family, ())
 
-    length = colouring.length
-    candidates: list[tuple[int, tuple[int, ...]]] = []
-    for d in range(h + 1, _window_bound(family, length) + 1):
-        elems = tuple(focus + p.evaluate(d) for p in family.polys)
-        if any(not 1 <= e <= length for e in elems):
-            continue
-        if not is_focused(elems, focus, family, d):
-            continue
-        if is_fully_rainbow(colouring, elems) is None:
-            continue
-        candidates.append((d, elems))
+    # The rainbow probes anchored at the focus are exactly the focused
+    # patterns (distinct, without the focus) that fit the interval.
+    candidates = [
+        (d, elems[1:])
+        for _, a, d, elems in scan_plan(None, family, colouring.length, h, POLICY_GT_H_FOR_RAINBOW)
+        if a == focus and is_fully_rainbow(colouring, elems[1:]) is not None
+    ]
 
     m = colouring.m
     rows = colouring.rows

@@ -78,6 +78,10 @@ def test_witness_needs_a_family(files, capsys):
     code, out, err = run(capsys, "witness", "--colouring", col)
     assert code == 2
     assert err.startswith("error: ")
+    rainbow = files("rainbow.json", RAINBOW_X)
+    code, out, err = run(capsys, "witness", "--colouring", col, "--rainbow", rainbow, "--h", "-1")
+    assert code == 2
+    assert "h must be non-negative" in err
 
 
 def test_number_both_engines(files, capsys):
@@ -100,6 +104,16 @@ def test_number_not_found(files, capsys):
     )
     assert code == 1
     assert out == ""
+    assert "no canonical number" in err
+    # one class and a rainbow-only family: no prefix is ever pruned, so the
+    # walk goes 3000 positions deep
+    empty = files("empty.json", '{"polys": []}')
+    squares = files("squares.json", '{"polys": [[0, 1]], "role": "rainbow"}')
+    code, out, err = run(
+        capsys, "number", "--mono", empty, "--rainbow", squares, "--max-classes", "1",
+        "--n-limit", "3000",
+    )
+    assert (code, out) == (1, "")
     assert "no canonical number" in err
 
 
@@ -211,6 +225,9 @@ def test_enumerate(files, capsys):
     assert (code, out) == (0, "0 0 0\n")
     code, out, err = run(capsys, "enumerate", "--length", "4", "--limit", "2")
     assert (code, out) == (0, "0 0 0 0\n0 0 0 1\n")
+    code, out, err = run(capsys, "enumerate", "--length", "3", "--limit", "0")
+    assert (code, out) == (2, "")
+    assert "--limit" in err
 
 
 def test_malformed_inputs_carry_positions(files, capsys):
@@ -227,6 +244,16 @@ def test_malformed_inputs_carry_positions(files, capsys):
     missing = str(files("dir.json", "x")) + ".does-not-exist"
     code, out, err = run(capsys, "witness", "--colouring", col, "--mono", missing)
     assert code == 2
+    # nesting past the recursion limit is malformed input, not a crash
+    nested = files("nested.json", "[" * 200_000)
+    for argv in (
+        ("witness", "--colouring", col, "--mono", nested),
+        ("hvalue", "--family", nested),
+        ("verify", "--colouring", col, "--cert", nested),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "nested too deeply" in err
 
 
 def test_witness_with_bounded_colouring(files, capsys):

@@ -93,8 +93,9 @@ def test_enumerate_respects_class_cap():
     forms = list(enumerate_colourings(4, max_classes=2))
     assert len(forms) == 8
     assert all(all(r[0] <= 1 for r in c.rows) for c in forms)
-    # cap of 1 leaves only the constant colouring
+    # cap of 1 leaves only the constant colouring, at any length
     assert len(list(enumerate_colourings(5, max_classes=1))) == 1
+    assert len(list(enumerate_colourings(3000, max_classes=1))) == 1
     with pytest.raises(ValueError):
         list(enumerate_colourings(3, max_classes=0))
 
@@ -104,6 +105,8 @@ def test_enumerate_is_lexicographic():
     assert strings == sorted(strings)
     assert strings[0] == (0, 0, 0, 0)
     assert strings[-1] == (0, 1, 2, 3)
+    long = [c.coordinate(1) for c in itertools.islice(enumerate_colourings(3000, 2), 3)]
+    assert long == [(0,) * 3000, (0,) * 2999 + (1,), (0,) * 2998 + (1, 0)]
 
 
 def test_extend():

@@ -8,7 +8,6 @@ from canvdw.polynomial import (
     PolynomialFamily,
     WeightVector,
     bstar_family,
-    d_max,
     dump_family,
     h_value,
     parse_family,
@@ -17,6 +16,7 @@ from canvdw.polynomial import (
     weight_less,
     weight_vector,
 )
+from canvdw.witness import d_max
 
 from _helpers import TWO_X, X, X_SQ, brute_force_shift_threshold, fam, poly, random_rainbow_family
 
@@ -172,6 +172,8 @@ def test_bstar_family_errors():
         bstar_family(fam([0, 1], [1], role="rainbow"), 0, 1)  # first member not minimal degree
     with pytest.raises(ValueError):
         bstar_family(fam([1], [2]), 0, 1)  # mono role rejected
+    with pytest.raises(ValueError):
+        bstar_family(fam([1], [0, 1], role="rainbow"), -2, 1)  # would add a d = -1 shift
 
 
 def test_bstar_members_are_shifted_differences():
@@ -235,6 +237,8 @@ def test_d_max_examples():
         d_max(fam([1], role="rainbow"), 0, 0)
     with pytest.raises(ValueError):
         d_max(fam([0]), 10, 0)
+    with pytest.raises(ValueError):
+        d_max(fam([1], role="rainbow"), 10, -1)
 
 
 def test_d_max_is_maximal_and_feasible():
@@ -277,6 +281,8 @@ def test_parse_and_dump_family():
         parse_family('{"polys": [[1], ["x"]]}')
     with pytest.raises(FamilyFormatError):
         parse_family('{"polys": [[1], [1]], "role": "rainbow"}')
+    with pytest.raises(FamilyFormatError):
+        parse_family("[" * 200_000)  # nested past the recursion limit
     err = None
     try:
         parse_family('{"polys": [[1],\n [2],]}')

@@ -149,6 +149,16 @@ def test_unfound_number_is_reported_as_exhausted():
     assert res.witness_free_per_length == (1, 2, 3, 5, 7)
     # with nothing found the count reported is the deepest layer's
     assert res.extremal_count_at_nminus1 == 7
+    # one class and a rainbow-only family: nothing is ever pruned, so the
+    # walk goes one node per position far past the recursion limit
+    deep = SearchConfig(
+        mono_family=None, rainbow_family=fam([0, 1], role="rainbow"), max_classes=1, n_limit=1200
+    )
+    res = canonical_number(deep)
+    assert res.canonical_number is None
+    assert res.exhausted
+    assert res.nodes_expanded == 1200
+    assert res.witness_free_per_length == (1,) * 1200
 
 
 def test_run_report_shape():

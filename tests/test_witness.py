@@ -12,6 +12,7 @@ from canvdw.witness import (
     POLICY_ANY,
     POLICY_GT_H_FOR_RAINBOW,
     POLICY_POSITIVE,
+    D_POLICIES,
     Certificate,
     FocusedCollection,
     collection_norm,
@@ -21,11 +22,20 @@ from canvdw.witness import (
     is_fully_rainbow,
     is_monochromatic,
     is_rainbow,
+    step_admitted,
     validate_collection,
     verify_certificate,
 )
 
-from _helpers import TWO_X, X, fam, merge_two_classes, random_colouring, relabel
+from _helpers import (
+    TWO_X,
+    X,
+    fam,
+    merge_two_classes,
+    random_colouring,
+    random_rainbow_family,
+    relabel,
+)
 
 
 def test_is_monochromatic():
@@ -193,7 +203,7 @@ def test_certificate_json_round_trip():
     assert Certificate.from_json(text) == cert
     pairs = json.loads(text, object_pairs_hook=list)
     assert [k for k, _ in pairs] == [
-        "kind", "a", "d", "elements", "evidence", "family", "digest", "d_policy",
+        "kind", "a", "d", "elements", "evidence", "family", "digest", "d_policy", "h",
     ]
     malformed = [
         {"a": "x"},
@@ -207,10 +217,18 @@ def test_certificate_json_round_trip():
         {"kind": 7},
         {"digest": None},
         {"d_policy": "bogus"},
+        {"h": -1},
+        {"h": True},
     ]
     for change in malformed:
         with pytest.raises(ValueError):
             Certificate.from_json(json.dumps({**json.loads(text), **change}))
+    without_h = json.loads(text)
+    del without_h["h"]
+    with pytest.raises(ValueError):
+        Certificate.from_json(json.dumps(without_h))
+    with pytest.raises(ValueError):
+        Certificate.from_json("[" * 200_000)  # nested past the recursion limit
     with pytest.raises(ValueError):
         Certificate.from_json("{not json")
     with pytest.raises(ValueError):
@@ -246,6 +264,23 @@ def test_verify_certificate_rejections():
     good = find_witness(labelled, None, fam([1], role="rainbow"))
     wrong_label = dataclasses.replace(good, evidence=1)
     assert verify_certificate(labelled, wrong_label).reason == "evidence mismatch"
+
+    # forged steps: every element is right for (a, d), but d is not admitted
+    ap3 = fam([1], [2])
+    zero = Certificate(KIND_MONO, 2, 0, (2, 2, 2), 1, ap3, colouring_digest(c), "nonzero")
+    assert verify_certificate(c, zero).reason == "step not admitted"
+    flat7 = TypedColouring.single((0,) * 7)
+    backwards = Certificate(KIND_MONO, 7, -3, (7, 4, 1), 1, ap3, colouring_digest(flat7), "positive")
+    assert verify_certificate(flat7, backwards).reason == "step not admitted"
+    shifted = fam([1, 1], [3, 1], role="rainbow")  # h_value 1
+    five = TypedColouring.single((1, 2, 3, 4, 5))
+    low = Certificate(
+        KIND_RAINBOW, 1, 1, (1, 3, 5), None, shifted, colouring_digest(five),
+        POLICY_GT_H_FOR_RAINBOW, 1,
+    )
+    assert find_witness(five, None, shifted, h=1, d_policy=POLICY_GT_H_FOR_RAINBOW) is None
+    assert verify_certificate(five, low).reason == "step not admitted"
+    assert verify_certificate(five, dataclasses.replace(low, h=0)).ok
 
 
 def test_verify_result_is_truthy():
@@ -326,6 +361,8 @@ def test_find_focused_collection_budget_and_errors():
         find_focused_collection(TypedColouring.single((1, 2)), B, 1, target_norm=1)
     with pytest.raises(ValueError):
         find_focused_collection(distinct, B, 1, target_norm=-1)
+    with pytest.raises(ValueError):
+        find_focused_collection(distinct, B, 4, h=-3, target_norm=1)
 
 
 def test_certificates_round_trip_exhaustively():
@@ -348,3 +385,45 @@ def test_certificates_round_trip_exhaustively():
             assert verify_certificate(c, bad).reason == "digest mismatch"
     assert seen == 5295
     assert witnessed > seen // 2
+
+
+def test_verifier_refuses_steps_the_scanner_does_not_admit():
+    # Every certificate the scanner writes verifies.  Re-anchoring it at a
+    # step its policy refuses, with elements and evidence recomputed so that
+    # range and predicate still hold, must be rejected for the step alone.
+    rng = random.Random(7766)
+    forged = 0
+    below_h = 0  # rainbow steps in 1..h under the threshold policy
+    for _ in range(120):
+        mono = fam(*random_rainbow_family(rng, max_size=2, max_deg=2, coeff_abs=2).coeff_lists())
+        rainbow = random_rainbow_family(rng, max_size=2, max_deg=2, coeff_abs=2)
+        length = rng.randint(4, 12)
+        c = random_colouring(rng, length, rng.choice((1, 2)), rng.choice((None, 2)), classes=4)
+        for policy in D_POLICIES:
+            for h in (0, 1, 2):
+                cert = find_witness(c, mono, rainbow, h, policy)
+                if cert is None:
+                    continue
+                assert cert.h == h
+                assert verify_certificate(c, cert).ok
+                for d in range(-length, length + 1):
+                    if step_admitted(cert.kind, d, h, policy):
+                        continue
+                    elems = (cert.a,) + tuple(cert.a + p.evaluate(d) for p in cert.family.polys)
+                    if any(not 1 <= e <= length for e in elems):
+                        continue
+                    if cert.kind == KIND_MONO:
+                        evidence = is_monochromatic(c, elems)
+                        holds = evidence is not None
+                    elif cert.kind == KIND_RAINBOW:
+                        evidence, holds = None, is_rainbow(c, elems)
+                    else:
+                        evidence = is_fully_rainbow(c, elems)
+                        holds = evidence is not None
+                    if not holds:
+                        continue
+                    moved = dataclasses.replace(cert, d=d, elements=elems, evidence=evidence)
+                    assert verify_certificate(c, moved).reason == "step not admitted", moved
+                    forged += 1
+                    below_h += d > 0
+    assert forged > 200 and below_h > 0
