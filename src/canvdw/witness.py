@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .coloring import TypedColouring, colouring_digest
@@ -54,7 +53,7 @@ class Certificate:
     family: PolynomialFamily
     digest: str
     d_policy: str
-    h: int = 0
+    h: int
 
     def witness(self) -> WitnessSet:
         return WitnessSet(self.kind, self.a, self.d, self.elements, self.evidence)
@@ -257,29 +256,22 @@ def step_admitted(kind: str, d: int, h: int, d_policy: str) -> bool:
     return d != 0
 
 
-def _check_h(h: int) -> None:
-    if h < 0:
-        raise ValueError(f"h must be non-negative, got {h}")
-
-
-@lru_cache(maxsize=256)
-def scan_plan(
+def _admitted_steps(
     mono_family: PolynomialFamily | None,
     rainbow_family: PolynomialFamily | None,
     length: int,
     h: int,
     d_policy: str,
-) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-    """Every candidate witness inside [length], in scan order.
+):
+    """Yield (d, slots) for every step d that fits some family inside
+    [length], in scan order: increasing |d|, positive step first.
 
-    This is the one place that enumerates the steps d each family admits
-    (per step_admitted), bounds how far |d| can usefully go (the window
-    bound), and picks the anchors a that keep all elements inside the
-    interval.  Rainbow steps whose elements repeat a position are dropped,
-    since they can never be rainbow.  Probes are (kind, a, d, elements)
-    with kind KIND_MONO or KIND_RAINBOW, ordered by increasing |d|,
-    positive step first, then increasing anchor, the mono probe before the
-    rainbow probe at each (a, d).
+    slots lists (kind, offsets, a_min, a_max) per family admitting d, mono
+    first, where offsets are (0, p_1(d), ..., p_k(d)) and a_min..a_max are
+    the anchors keeping every element inside the interval.  This is the one
+    step scan: it applies step_admitted and the window bound, and drops
+    rainbow steps whose elements repeat a position, since they can never be
+    rainbow.
     """
     fams = []
     if mono_family is not None and mono_family.polys:
@@ -287,7 +279,7 @@ def scan_plan(
     if rainbow_family is not None and rainbow_family.polys:
         fams.append((KIND_RAINBOW, rainbow_family))
     if not fams:
-        return ()
+        return
     # Window bound: beyond it some member's value always overflows the
     # window, so the step scan is finite.  Families whose values never move
     # (no nonzero member) only need |d| = 1.
@@ -297,7 +289,6 @@ def scan_plan(
         if nonzero:
             bound = max(bound, length + min(sum(map(abs, p.coeffs)) for p in nonzero))
 
-    plan: list[tuple[str, int, int, tuple[int, ...]]] = []
     for size in range(bound + 1):
         for d in ((0,) if size == 0 else (size, -size)):
             slots = []
@@ -306,21 +297,51 @@ def scan_plan(
                     continue
                 offsets = (0,) + tuple(p.evaluate(d) for p in fam.polys)
                 if kind == KIND_RAINBOW and len(set(offsets)) != len(offsets):
-                    continue  # repeated positions can never be rainbow
-                lo = min(offsets)
-                hi = max(offsets)
-                a_min = max(1, 1 - lo)
-                a_max = min(length, length - hi)
-                if a_min > a_max:
                     continue
-                slots.append((kind, offsets, a_min, a_max))
-            if not slots:
-                continue
+                a_min = max(1, 1 - min(offsets))
+                a_max = min(length, length - max(offsets))
+                if a_min <= a_max:
+                    slots.append((kind, offsets, a_min, a_max))
+            if slots:
+                yield d, slots
+
+
+# Recently used plans, oldest first, bounded by their total probe count
+# rather than by entries: one plan at a long length holds hundreds of
+# thousands of probes.
+_PLAN_CACHE_PROBES = 500_000
+_plans: dict[tuple, tuple[tuple[str, int, int, tuple[int, ...]], ...]] = {}
+
+
+def scan_plan(
+    mono_family: PolynomialFamily | None,
+    rainbow_family: PolynomialFamily | None,
+    length: int,
+    h: int,
+    d_policy: str,
+) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """Every candidate witness inside [length], in scan order.
+
+    Expands each admitted step of the step scan into its anchors.  Probes
+    are (kind, a, d, elements) with kind KIND_MONO or KIND_RAINBOW, ordered
+    by increasing |d|, positive step first, then increasing anchor, the
+    mono probe before the rainbow probe at each (a, d).  Plans are cached.
+    """
+    key = (mono_family, rainbow_family, length, h, d_policy)
+    plan = _plans.pop(key, None)
+    if plan is None:
+        probes = []
+        for d, slots in _admitted_steps(*key):
             for a in range(min(s[2] for s in slots), max(s[3] for s in slots) + 1):
                 for kind, offsets, a_min, a_max in slots:
                     if a_min <= a <= a_max:
-                        plan.append((kind, a, d, tuple(a + off for off in offsets)))
-    return tuple(plan)
+                        probes.append((kind, a, d, tuple(a + off for off in offsets)))
+        plan = tuple(probes)
+        held = sum(map(len, _plans.values()))
+        while _plans and held + len(plan) > _PLAN_CACHE_PROBES:
+            held -= len(_plans.pop(next(iter(_plans))))
+    _plans[key] = plan
+    return plan
 
 
 def d_max(family: PolynomialFamily, interval_len: int, h: int) -> int | None:
@@ -333,11 +354,12 @@ def d_max(family: PolynomialFamily, interval_len: int, h: int) -> int | None:
     """
     if interval_len < 1:
         raise ValueError(f"interval length must be positive, got {interval_len}")
-    _check_h(h)
+    if h < 0:
+        raise ValueError(f"h must be non-negative, got {h}")
     if not family.nonzero_members():
         raise ValueError("d_max undefined for a family with no nonzero members")
-    plan = scan_plan(family, None, interval_len, 0, POLICY_POSITIVE)
-    return max((d for _, _, d, _ in plan if d > h), default=None)
+    steps = _admitted_steps(family, None, interval_len, 0, POLICY_POSITIVE)
+    return max((d for d, _ in steps if d > h), default=None)
 
 
 def find_witness(
@@ -358,7 +380,8 @@ def find_witness(
     """
     if d_policy not in D_POLICIES:
         raise ValueError(f"unknown d policy {d_policy!r}")
-    _check_h(h)
+    if h < 0:
+        raise ValueError(f"h must be non-negative, got {h}")
     plan = scan_plan(mono_family, rainbow_family, colouring.length, h, d_policy)
     bounded = colouring.n is not None
     digest = None
@@ -451,17 +474,20 @@ def find_focused_collection(
         raise ValueError(f"focus {focus} outside the interval")
     if target_norm < 0:
         raise ValueError(f"target norm must be non-negative, got {target_norm}")
-    _check_h(h)
+    if h < 0:
+        raise ValueError(f"h must be non-negative, got {h}")
     if target_norm == 0:
         return FocusedCollection(focus, family, ())
 
-    # The rainbow probes anchored at the focus are exactly the focused
-    # patterns (distinct, without the focus) that fit the interval.
-    candidates = [
-        (d, elems[1:])
-        for _, a, d, elems in scan_plan(None, family, colouring.length, h, POLICY_GT_H_FOR_RAINBOW)
-        if a == focus and is_fully_rainbow(colouring, elems[1:]) is not None
-    ]
+    # The rainbow steps whose anchor range holds the focus are exactly the
+    # focused patterns (distinct, without the focus) that fit the interval.
+    candidates = []
+    for d, slots in _admitted_steps(None, family, colouring.length, h, POLICY_GT_H_FOR_RAINBOW):
+        _, offsets, a_min, a_max = slots[0]
+        if a_min <= focus <= a_max:
+            elems = tuple(focus + off for off in offsets[1:])
+            if is_fully_rainbow(colouring, elems) is not None:
+                candidates.append((d, elems))
 
     m = colouring.m
     rows = colouring.rows

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from canvdw.witness import (
     Certificate,
     FocusedCollection,
     collection_norm,
+    d_max,
     find_focused_collection,
     find_witness,
     is_focused,
@@ -253,11 +255,11 @@ def test_verify_certificate_rejections():
     crosskind = dataclasses.replace(cert, kind=KIND_MONO)
     assert verify_certificate(c, crosskind).reason == "evidence mismatch"
 
-    edge = Certificate(KIND_RAINBOW, 3, 1, (3, 4), None, fam([1], role="rainbow"), colouring_digest(c), "nonzero")
+    edge = Certificate(KIND_RAINBOW, 3, 1, (3, 4), None, fam([1], role="rainbow"), colouring_digest(c), "nonzero", 0)
     assert verify_certificate(c, edge).reason == "out of range"
 
     flat = TypedColouring.single((1, 1, 1))
-    broken = Certificate(KIND_RAINBOW, 1, 1, (1, 2), None, fam([1], role="rainbow"), colouring_digest(flat), "nonzero")
+    broken = Certificate(KIND_RAINBOW, 1, 1, (1, 2), None, fam([1], role="rainbow"), colouring_digest(flat), "nonzero", 0)
     assert verify_certificate(flat, broken).reason == "predicate failed"
 
     labelled = TypedColouring(m=1, n=2, rows=((1, 2), (2, 2)))
@@ -267,10 +269,10 @@ def test_verify_certificate_rejections():
 
     # forged steps: every element is right for (a, d), but d is not admitted
     ap3 = fam([1], [2])
-    zero = Certificate(KIND_MONO, 2, 0, (2, 2, 2), 1, ap3, colouring_digest(c), "nonzero")
+    zero = Certificate(KIND_MONO, 2, 0, (2, 2, 2), 1, ap3, colouring_digest(c), "nonzero", 0)
     assert verify_certificate(c, zero).reason == "step not admitted"
     flat7 = TypedColouring.single((0,) * 7)
-    backwards = Certificate(KIND_MONO, 7, -3, (7, 4, 1), 1, ap3, colouring_digest(flat7), "positive")
+    backwards = Certificate(KIND_MONO, 7, -3, (7, 4, 1), 1, ap3, colouring_digest(flat7), "positive", 0)
     assert verify_certificate(flat7, backwards).reason == "step not admitted"
     shifted = fam([1, 1], [3, 1], role="rainbow")  # h_value 1
     five = TypedColouring.single((1, 2, 3, 4, 5))
@@ -364,6 +366,22 @@ def test_find_focused_collection_budget_and_errors():
     with pytest.raises(ValueError):
         find_focused_collection(distinct, B, 4, h=-3, target_norm=1)
 
+
+def test_step_scans_do_not_expand_anchors():
+    # d_max and find_focused_collection read the step scan, not the anchor
+    # expansion: at length 1000 the plan for x holds about 500,000 probes.
+    B = fam([1], role="rainbow")
+    length = 1000
+    distinct = TypedColouring(m=1, n=1, rows=tuple((i, 1) for i in range(1, length + 1)))
+    tracemalloc.start()
+    try:
+        assert d_max(B, length, 0) == length - 1
+        found = find_focused_collection(distinct, B, length // 2, target_norm=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found is not None and found.members == ((1, (length // 2 + 1,)),)
+    assert peak < 1 << 20
 
 def test_certificates_round_trip_exhaustively():
     # every canonical single-coordinate colouring up to length 8, checked
