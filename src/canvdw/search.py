@@ -95,39 +95,26 @@ def _position_plans(
     depth_cap: int,
     h: int,
     d_policy: str,
-) -> tuple[tuple[tuple[bool, tuple[int, ...]], ...], ...]:
-    # plans[t] lists the probes completed by colouring position t+1: every
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]], ...]:
+    # plans[t] holds the probes completed by colouring position t+1: every
     # witness lying inside [t+1] whose largest element is t+1, once each, as
-    # (is_mono, zero-based element indices), mono probes first and each
-    # family's probes in scan order.
-    plans: list[dict[tuple[bool, tuple[int, ...]], None]] = [{} for _ in range(depth_cap)]
+    # the bitmask of its zero-based positions other than t.  A mono probe
+    # may repeat a position or have none besides t (mask 0).  A rainbow
+    # probe never repeats one and keeps its earlier positions for the
+    # distinctness test.  plans[t] is (mono masks, (positions, mask) pairs).
+    mono: list[dict[int, None]] = [{} for _ in range(depth_cap)]
+    rain: list[dict[int, tuple[int, ...]]] = [{} for _ in range(depth_cap)]
     for kind, _, _, elems in scan_plan(mono_family, rainbow_family, depth_cap, h, d_policy):
-        plans[max(elems) - 1][(kind == KIND_MONO, tuple(e - 1 for e in elems))] = None
-    return tuple(tuple(sorted(p, key=lambda probe: not probe[0])) for p in plans)
-
-
-def _blocked(labels: list[int], probes) -> bool:
-    # Does the newly coloured position complete a witness inside the prefix?
-    for is_mono, idx in probes:
-        first = labels[idx[0]]
-        if is_mono:
-            for i in idx[1:]:
-                if labels[i] != first:
-                    break
-            else:
-                return True
+        t = max(elems) - 1
+        earlier = tuple(sorted({e - 1 for e in elems} - {t}))
+        mask = sum(1 << i for i in earlier)
+        if kind == KIND_MONO:
+            mono[t][mask] = None
         else:
-            seen = {first}
-            clash = False
-            for i in idx[1:]:
-                lab = labels[i]
-                if lab in seen:
-                    clash = True
-                    break
-                seen.add(lab)
-            if not clash:
-                return True
-    return False
+            rain[t][mask] = earlier
+    return tuple(
+        (tuple(m), tuple((idx, pm) for pm, idx in r.items())) for m, r in zip(mono, rain)
+    )
 
 
 def _check_prune(cfg: SearchConfig, labels: list[int]) -> None:
@@ -152,7 +139,15 @@ def _run_tree(
     The walk is depth first with children in label order, so complete
     colourings appear in lexicographic canonical order.  It keeps its
     position in per-depth stacks rather than on the call stack, so depth
-    is not limited by recursion.  Returns (per-depth counts or None if the
+    is not limited by recursion.
+
+    The prune check works on bitmasks: bit i of masks[c] is set while
+    prefix position i has class c, and each probe is the mask of its
+    positions before the new one.  Child label v completes a mono probe pm
+    iff masks[v] & pm == pm (so an empty pm always blocks).  On entering a
+    depth the walk keeps only the rainbow probes whose earlier positions
+    carry pairwise distinct labels, once per parent; v completes one of
+    those iff masks[v] & pm == 0.  Returns (per-depth counts or None if the
     budget ran out, nodes expanded, collected complete colourings in
     lexicographic order).
     """
@@ -167,36 +162,60 @@ def _run_tree(
     counts[0] = 1
     collected: list[tuple[int, ...]] = []
     # labels[:depth] is the current prefix, using used[depth] classes;
-    # labels[depth] is the last label tried at position depth.
+    # labels[depth] is the last label tried at position depth.  live[depth]
+    # holds the masks of the rainbow probes still open at that depth.
     labels = [-1] * depth_cap
     used = [0] * depth_cap
+    masks = [0] * depth_cap
+    live: list[list[int]] = [[]] * depth_cap
+    live[0] = [pm for _, pm in plans[0][1]]
+    mono_t, rain_t = plans[0][0], live[0]
     nodes = 0
     depth = 0
-    while depth >= 0:
+    while True:
         v = labels[depth] + 1
         u = used[depth]
         if v > u or v == u == full:
+            if depth == 0:
+                break
             depth -= 1
+            masks[labels[depth]] ^= 1 << depth
+            mono_t, rain_t = plans[depth][0], live[depth]
             continue
         labels[depth] = v
         nodes += 1
         if nodes > budget:
             return None, nodes, []
-        if _blocked(labels, plans[depth]):
+        mv = masks[v]
+        blocked = False
+        for pm in mono_t:
+            if mv & pm == pm:
+                blocked = True
+                break
+        if not blocked:
+            for pm in rain_t:
+                if not mv & pm:
+                    blocked = True
+                    break
+        if blocked:
             if self_check:
                 _check_prune(cfg, labels[: depth + 1])
             continue
-        depth += 1
-        counts[depth] += 1
-        if depth == depth_cap:
-            depth -= 1
+        counts[depth + 1] += 1
+        if depth + 1 == depth_cap:
             if collect:
                 collected.append(tuple(labels))
                 if collect_limit is not None and len(collected) >= collect_limit:
                     break
             continue
+        masks[v] |= 1 << depth
+        depth += 1
         labels[depth] = -1
         used[depth] = u + 1 if v == u else u
+        mono_t = plans[depth][0]
+        rain_t = live[depth] = [
+            pm for idx, pm in plans[depth][1] if len({labels[i] for i in idx}) == len(idx)
+        ]
     return counts, nodes, collected
 
 

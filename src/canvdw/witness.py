@@ -281,13 +281,18 @@ def _admitted_steps(
     if not fams:
         return
     # Window bound: beyond it some member's value always overflows the
-    # window, so the step scan is finite.  Families whose values never move
-    # (no nonzero member) only need |d| = 1.
+    # window, so the step scan is finite.  For p with leading coefficient c
+    # and lower coefficients of absolute sum s, |c*d| >= length + s gives
+    # |p(d)| >= |d|**(deg-1) * (|c*d| - s) >= length.  Families whose values
+    # never move (no nonzero member) only need |d| = 1.
     bound = 1
     for _, fam in fams:
         nonzero = fam.nonzero_members()
         if nonzero:
-            bound = max(bound, length + min(sum(map(abs, p.coeffs)) for p in nonzero))
+            bound = max(bound, min(
+                -(-(length + sum(map(abs, p.coeffs[:-1]))) // abs(p.coeffs[-1]))
+                for p in nonzero
+            ))
 
     for size in range(bound + 1):
         for d in ((0,) if size == 0 else (size, -size)):
@@ -493,35 +498,46 @@ def find_focused_collection(
     rows = colouring.rows
     cut = m + 1
     budget = node_budget
-    best: tuple[tuple[int, tuple[int, ...]], ...] | None = None
+    weights = {c: 0 for c in range(1, colouring.n + 1)}
+    chosen: list[tuple[int, tuple[int, ...]]] = []
+    used_vals: set[int] = set()
+    used_labs: set[int] = set()
 
-    def norm_of(weights: dict[int, int]) -> int:
-        return sum(w for w in weights.values() if w <= cut)
+    def labels_of(elems: tuple[int, ...]) -> set[int]:
+        return {lab for e in elems for lab in rows[e - 1][:m]}
 
-    def dfs(idx: int, chosen, weights, used_vals, used_labs) -> None:
-        nonlocal budget, best
-        if best is not None or budget <= 0:
-            return
-        if norm_of(weights) == target_norm:
-            best = tuple(chosen)
-            return
-        if idx == len(candidates):
-            return
-        d, elems = candidates[idx]
-        labs = [lab for e in elems for lab in rows[e - 1][:m]]
-        compatible = not (used_vals & set(elems)) and not (used_labs & set(labs))
-        if compatible:
+    # taken[i] records whether candidates[i] is in chosen; the decisions on
+    # candidates[:len(taken)] form the current node.  Each candidate is
+    # included first, when compatible, then excluded, one budget unit per
+    # decision, as an include/exclude backtracking search would.
+    taken: list[bool] = []
+    while budget > 0:
+        if sum(w for w in weights.values() if w <= cut) == target_norm:
+            return FocusedCollection(focus, family, tuple(chosen))
+        idx = len(taken)
+        if idx < len(candidates):
+            d, elems = candidates[idx]
+            labs = labels_of(elems)
             budget -= 1
-            fin = rows[elems[0] - 1][m]
-            weights[fin] += 1
-            dfs(idx + 1, chosen + [(d, elems)], weights, used_vals | set(elems), used_labs | set(labs))
-            weights[fin] -= 1
-            if best is not None:
-                return
+            if used_vals.isdisjoint(elems) and used_labs.isdisjoint(labs):
+                weights[rows[elems[0] - 1][m]] += 1
+                chosen.append((d, elems))
+                used_vals.update(elems)
+                used_labs.update(labs)
+                taken.append(True)
+            else:
+                taken.append(False)
+            continue
+        # All candidates decided: back up to the latest inclusion and take
+        # its exclude branch instead.
+        while taken and not taken[-1]:
+            taken.pop()
+        if not taken:
+            return None
+        taken[-1] = False
+        _, elems = chosen.pop()
+        weights[rows[elems[0] - 1][m]] -= 1
+        used_vals.difference_update(elems)
+        used_labs.difference_update(labels_of(elems))
         budget -= 1
-        dfs(idx + 1, chosen, weights, used_vals, used_labs)
-
-    dfs(0, [], {c: 0 for c in range(1, colouring.n + 1)}, frozenset(), frozenset())
-    if best is None:
-        return None
-    return FocusedCollection(focus, family, best)
+    return None

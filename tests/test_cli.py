@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
 from canvdw.cli import main
+from canvdw.coloring import parse_colouring
+from canvdw.polynomial import parse_family
+from canvdw.witness import Certificate
 
 MONO_X = '{"polys": [[1]], "role": "mono"}'
 RAINBOW_X = '{"polys": [[1]], "role": "rainbow"}'
@@ -278,3 +282,94 @@ def test_repeat_runs_are_byte_identical(files, capsys):
         assert code == 0
         seen.add(out)
     assert len(seen) == 1
+
+
+def _fuzzed(rng, text, is_json):
+    # One seeded mutant of a valid input: a truncation, byte flips, a value
+    # of the wrong type, or deep nesting.
+    pick = rng.randrange(4 if is_json else 2)
+    if pick == 0:
+        return text[: rng.randrange(len(text))].encode()
+    if pick == 1:
+        data = bytearray(text.encode())
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        return bytes(data)
+    doc = json.loads(text)
+    slots = []
+
+    def walk(node):
+        children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in children:
+            slots.append((node, key))
+            walk(child)
+
+    walk(doc)
+    node, key = rng.choice(slots)
+    if pick == 2:
+        node[key] = rng.choice(("x", 1.5, True, None, [], {}, -1, 10**30, [[1]], {"polys": 1}))
+        return json.dumps(doc).encode()
+    node[key] = "NEST"
+    depth = rng.choice((50, 5000, 200_000))
+    return json.dumps(doc).replace('"NEST"', "[" * depth + "1" + "]" * depth).encode()
+
+
+def test_fuzzed_inputs_exit_cleanly(tmp_path, capsys):
+    colourings = ["1 2 3\n", "m=1 n=2 N=3\n1 2\n2 2\n3 1\n", "0 1\n1 0\n2 2\n", "0 0 1 1 0 0 1 1 0\n"]
+    families = [MONO_X, RAINBOW_X, MONO_3AP, '{"polys": [[0, 1], [2]]}']
+    certs = []
+    for col in colourings:
+        for family in families:
+            role = json.loads(family).get("role", "mono")
+            (tmp_path / "c").write_text(col)
+            (tmp_path / "f").write_text(family)
+            code, out, _ = run(capsys, "witness", "--colouring", str(tmp_path / "c"), f"--{role}", str(tmp_path / "f"))
+            if code == 0:
+                certs.append((col, out))
+    assert len(certs) > 5
+
+    def rejects(parse, data):
+        try:
+            parse(data.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError included
+            return True
+        return False
+
+    rng = random.Random(20200415)
+    malformed = 0
+    for trial in range(360):
+        command = ("witness", "hvalue", "verify")[trial % 3]
+        if command == "hvalue":
+            family = _fuzzed(rng, rng.choice(families), True)
+            inputs = {"f": family}
+            argv = ["hvalue", "--family", "f"]
+            bad = rejects(parse_family, family)
+        elif command == "witness":
+            col, family = rng.choice(colourings).encode(), rng.choice(families)
+            role = json.loads(family).get("role", "mono")
+            if rng.random() < 0.5:
+                col = _fuzzed(rng, col.decode(), False)
+                family = family.encode()
+            else:
+                family = _fuzzed(rng, family, True)
+            inputs = {"c": col, "f": family}
+            argv = ["witness", "--colouring", "c", f"--{role}", "f"]
+            bad = rejects(parse_colouring, col) or rejects(lambda s: parse_family(s, role), family)
+        else:
+            col, cert = rng.choice(certs)
+            if rng.random() < 0.3:
+                col, cert = _fuzzed(rng, col, False), cert.encode()
+            else:
+                col, cert = col.encode(), _fuzzed(rng, cert, True)
+            inputs = {"c": col, "x": cert}
+            argv = ["verify", "--colouring", "c", "--cert", "x"]
+            bad = rejects(parse_colouring, col) or rejects(Certificate.from_json, cert)
+        for name, data in inputs.items():
+            (tmp_path / name).write_bytes(data)
+        argv = [str(tmp_path / a) if a in inputs else a for a in argv]
+        code, _, err = run(capsys, *argv)  # an escaping exception fails the test
+        assert code in (0, 1, 2), (argv, inputs)
+        if bad:
+            malformed += 1
+            assert code == 2 and err.startswith("error: "), (argv, inputs, err)
+    assert malformed > 150

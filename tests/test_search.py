@@ -219,3 +219,54 @@ def test_engines_agree_on_random_families():
                 k = len(b.witness_free_per_length)
                 assert a.witness_free_per_length[:k] == b.witness_free_per_length, cfg
                 assert a.extremal_count_at_nminus1 == b.extremal_count_at_nminus1, cfg
+
+
+def test_masks_handle_repeated_and_empty_positions():
+    # Mono families may hold the zero polynomial and repeated members, and
+    # "any" admits d = 0, so a mono probe can repeat a position or have no
+    # position besides the newest one; such a probe must always block.
+    rng = random.Random(20201104)
+    pool = ([], [1], [2], [-1], [0, 1], [1, 1])
+    numbers = set()
+    for trial in range(24):
+        members = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        members.append(rng.choice(([], rng.choice(members))))
+        rng.shuffle(members)
+        rainbow = random_rainbow_family(rng, max_size=2, max_deg=2, coeff_abs=2)
+        policy = D_POLICIES[trial % len(D_POLICIES)]
+        cfg = SearchConfig(
+            mono_family=fam(*members),
+            rainbow_family=rainbow if rng.random() < 0.5 else None,
+            h=rng.choice((0, 1)),
+            d_policy=policy,
+            max_classes=rng.choice((2, 3, None)),
+            n_limit=7,
+            self_check=True,
+        )
+        a = canonical_number(cfg)
+        b = naive_canonical_number(cfg)
+        assert a.canonical_number == b.canonical_number, cfg
+        k = len(b.witness_free_per_length)
+        assert a.witness_free_per_length[:k] == b.witness_free_per_length, cfg
+        assert a.extremal_count_at_nminus1 == b.extremal_count_at_nminus1, cfg
+        numbers.add(a.canonical_number)
+    # the zero member blocks every position at length 1 under some policies,
+    # while other families leave longer witness-free colourings
+    assert 1 in numbers and len(numbers) > 2
+
+
+def test_exact_walks_of_classical_instances():
+    # The pruned walk of two van der Waerden numbers, node for node, as the
+    # benchmark's reference values record them.
+    w42 = canonical_number(SearchConfig(mono_family=fam([1], [2], [3]), max_classes=2, n_limit=40))
+    assert (w42.canonical_number, w42.nodes_expanded) == (35, 20351)
+    assert w42.witness_free_per_length == (
+        1, 2, 4, 7, 13, 24, 39, 66, 115, 178, 274, 421, 539, 672, 882, 872, 925, 974, 854, 721,
+        671, 516, 351, 262, 158, 84, 68, 68, 72, 76, 80, 84, 88, 14, 0, 0, 0, 0, 0, 0,
+    )
+    w33 = canonical_number(SearchConfig(mono_family=fam([1], [2]), max_classes=3, n_limit=30))
+    assert (w33.canonical_number, w33.nodes_expanded) == (27, 337640)
+    assert w33.witness_free_per_length == (
+        1, 2, 4, 11, 28, 71, 155, 327, 601, 1174, 1965, 3267, 4937, 7553, 9574, 12409, 14242,
+        15920, 14136, 11930, 8428, 3837, 1448, 467, 52, 8, 0, 0, 0, 0,
+    )

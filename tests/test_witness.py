@@ -16,6 +16,7 @@ from canvdw.witness import (
     D_POLICIES,
     Certificate,
     FocusedCollection,
+    _admitted_steps,
     collection_norm,
     d_max,
     find_focused_collection,
@@ -365,6 +366,15 @@ def test_find_focused_collection_budget_and_errors():
         find_focused_collection(distinct, B, 1, target_norm=-1)
     with pytest.raises(ValueError):
         find_focused_collection(distinct, B, 4, h=-3, target_norm=1)
+    # Every candidate is compatible and the norm never reaches 5 (one final
+    # label, weight past m+1), so the search includes all 2,999 candidates
+    # in a row before backing up: far deeper than the recursion limit.
+    deep = TypedColouring(m=1, n=1, rows=tuple((i, 1) for i in range(1, 3001)))
+    assert find_focused_collection(deep, B, 1, target_norm=5, node_budget=100000) is None
+    assert find_focused_collection(deep, B, 1, target_norm=2, node_budget=100000).members == (
+        (1, (2,)),
+        (2, (3,)),
+    )
 
 
 def test_step_scans_do_not_expand_anchors():
@@ -445,3 +455,48 @@ def test_verifier_refuses_steps_the_scanner_does_not_admit():
                     forged += 1
                     below_h += d > 0
     assert forged > 200 and below_h > 0
+
+
+def _brute_force_steps(mono, rainbow, length, h, policy):
+    # Every step up to well past any window bound, checked one by one.
+    fams = [(k, f) for k, f in ((KIND_MONO, mono), (KIND_RAINBOW, rainbow)) if f is not None and f.polys]
+    reach = 2 * (length + max(sum(map(abs, p.coeffs)) for _, f in fams for p in f.polys)) + 10
+    found = []
+    for d in [0] + [s for size in range(1, reach + 1) for s in (size, -size)]:
+        for kind, f in fams:
+            offsets = (0,) + tuple(p.evaluate(d) for p in f.polys)
+            if not step_admitted(kind, d, h, policy):
+                continue
+            if kind == KIND_RAINBOW and len(set(offsets)) < len(offsets):
+                continue
+            a_min, a_max = 1 - min(offsets), length - max(offsets)
+            if max(1, a_min) <= min(length, a_max):
+                found.append((d, kind, offsets, max(1, a_min), min(length, a_max)))
+    return found
+
+
+def test_step_scan_window_bound_matches_brute_force():
+    # A family that never moves fits every step, so mono families here keep
+    # at least one nonzero member; they may hold the zero polynomial and
+    # repeated members.
+    rng = random.Random(20200417)
+    for _ in range(300):
+        members = random_rainbow_family(rng, max_size=3, max_deg=3, coeff_abs=4).coeff_lists()
+        members += [rng.choice(([], members[0])) for _ in range(rng.randint(0, 2))]
+        mono = fam(*members) if rng.random() < 0.8 else None
+        rainbow = random_rainbow_family(rng, max_size=3, max_deg=3, coeff_abs=4)
+        if mono is not None and rng.random() < 0.3:
+            rainbow = None
+        length = rng.randint(1, 30)
+        h = rng.randint(0, 3)
+        policy = rng.choice(D_POLICIES)
+        scanned = [
+            (d, kind, offsets, a_min, a_max)
+            for d, slots in _admitted_steps(mono, rainbow, length, h, policy)
+            for kind, offsets, a_min, a_max in slots
+        ]
+        assert scanned == _brute_force_steps(mono, rainbow, length, h, policy), (mono, rainbow, length, h, policy)
+    # The bound divides by the leading coefficient: a 31-digit coefficient
+    # ends the scan at once instead of after about 10**30 empty steps.
+    assert list(_admitted_steps(fam([10**30]), None, 3, 0, POLICY_ANY)) == [(0, [(KIND_MONO, (0, 0), 1, 3)])]
+    assert find_witness(TypedColouring.single((0, 1, 2)), fam([10**30], [1])) is None
