@@ -51,6 +51,7 @@ from .witness import (
     NormInfo,
     VerifyResult,
     WitnessSet,
+    admitted_steps,
     collection_norm,
     d_max,
     find_focused_collection,

@@ -15,33 +15,17 @@ import sys
 
 from . import coloring, polynomial, search, witness
 
-def _err(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
 
-
-def _load_colouring(path: str) -> coloring.TypedColouring:
+def _load(load, path: str, *args):
+    # Read an input file with load (a colouring or family loader), turning
+    # its format and OS errors into ValueError for main's "error:" line.
     try:
-        return coloring.load_colouring(path)
-    except coloring.ColouringFormatError as e:
+        return load(path, *args)
+    except (coloring.ColouringFormatError, polynomial.FamilyFormatError) as e:
         where = f"{path}:{e.line}" if e.line is not None else path
-        raise _CliInputError(f"{where}: {e.message}") from None
+        raise ValueError(f"{where}: {e.message}") from None
     except OSError as e:
-        raise _CliInputError(str(e)) from None
-
-
-def _load_family(path: str, role: str) -> polynomial.PolynomialFamily:
-    try:
-        return polynomial.load_family(path, role)
-    except polynomial.FamilyFormatError as e:
-        where = f"{path}:{e.line}" if e.line is not None else path
-        raise _CliInputError(f"{where}: {e.message}") from None
-    except OSError as e:
-        raise _CliInputError(str(e)) from None
-
-
-class _CliInputError(Exception):
-    pass
+        raise ValueError(str(e)) from None
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -82,13 +66,13 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
 
 def _search_config(args: argparse.Namespace) -> search.SearchConfig:
     if args.rainbow and args.no_rainbow:
-        raise _CliInputError("--rainbow and --no-rainbow are mutually exclusive")
+        raise ValueError("--rainbow and --no-rainbow are mutually exclusive")
     if args.threads < 1:
-        raise _CliInputError(f"--threads must be positive, got {args.threads}")
-    mono = _load_family(args.mono, polynomial.ROLE_MONO)
+        raise ValueError(f"--threads must be positive, got {args.threads}")
+    mono = _load(polynomial.load_family, args.mono, polynomial.ROLE_MONO)
     rain = None
     if args.rainbow:
-        rain = _load_family(args.rainbow, polynomial.ROLE_RAINBOW)
+        rain = _load(polynomial.load_family, args.rainbow, polynomial.ROLE_RAINBOW)
     return search.SearchConfig(
         mono_family=mono,
         rainbow_family=rain,
@@ -103,11 +87,11 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    col = _load_colouring(args.colouring)
-    mono = _load_family(args.mono, polynomial.ROLE_MONO) if args.mono else None
-    rain = _load_family(args.rainbow, polynomial.ROLE_RAINBOW) if args.rainbow else None
+    col = _load(coloring.load_colouring, args.colouring)
+    mono = _load(polynomial.load_family, args.mono, polynomial.ROLE_MONO) if args.mono else None
+    rain = _load(polynomial.load_family, args.rainbow, polynomial.ROLE_RAINBOW) if args.rainbow else None
     if mono is None and rain is None:
-        raise _CliInputError("need --mono or --rainbow")
+        raise ValueError("need --mono or --rainbow")
     cert = witness.find_witness(col, mono, rain, args.h, args.d_policy)
     if cert is None:
         print("no witness", file=sys.stderr)
@@ -119,12 +103,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    col = _load_colouring(args.colouring)
+    col = _load(coloring.load_colouring, args.colouring)
     try:
         with open(args.cert, encoding="utf-8") as fh:
             cert = witness.Certificate.from_json(fh.read())
     except OSError as e:
-        raise _CliInputError(str(e)) from None
+        raise ValueError(str(e)) from None
     verdict = witness.verify_certificate(col, cert)
     if verdict.ok:
         print("certificate accepted")
@@ -139,7 +123,7 @@ def _cmd_number(args: argparse.Namespace) -> int:
         engine = search.naive_canonical_number if args.naive else search.canonical_number
         result = engine(cfg)
     except search.EnumerationCapExceeded as e:
-        raise _CliInputError(str(e)) from None
+        raise ValueError(str(e)) from None
     report = search.run_report(cfg, result, timing=args.timing)
     _write_out(args.out, report)
     if result.canonical_number is None:
@@ -162,20 +146,20 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_hvalue(args: argparse.Namespace) -> int:
-    fam = _load_family(args.family, polynomial.ROLE_MONO)
+    fam = _load(polynomial.load_family, args.family, polynomial.ROLE_MONO)
     print(polynomial.h_value(fam))
     return 0
 
 
 def _cmd_weight(args: argparse.Namespace) -> int:
-    fam = _load_family(args.family, polynomial.ROLE_MONO)
+    fam = _load(polynomial.load_family, args.family, polynomial.ROLE_MONO)
     w = polynomial.weight_vector(fam)
     print(" ".join(str(c) for c in w.counts))
     return 0
 
 
 def _cmd_bstar(args: argparse.Namespace) -> int:
-    fam = _load_family(args.family, polynomial.ROLE_RAINBOW)
+    fam = _load(polynomial.load_family, args.family, polynomial.ROLE_RAINBOW)
     derived = polynomial.bstar_family(fam, args.h, args.d_cap)
     text = polynomial.dump_family(derived)
     sys.stdout.write(text)
@@ -184,7 +168,7 @@ def _cmd_bstar(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    fam = _load_family(args.family, polynomial.ROLE_MONO)
+    fam = _load(polynomial.load_family, args.family, polynomial.ROLE_MONO)
     scaled = polynomial.scale_family(fam, args.factor)
     text = polynomial.dump_family(scaled)
     sys.stdout.write(text)
@@ -194,9 +178,9 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.length < 0:
-        raise _CliInputError(f"length must be non-negative, got {args.length}")
+        raise ValueError(f"length must be non-negative, got {args.length}")
     if args.limit is not None and args.limit < 1:
-        raise _CliInputError(f"--limit must be positive, got {args.limit}")
+        raise ValueError(f"--limit must be positive, got {args.limit}")
     count = 0
     for col in coloring.enumerate_colourings(args.length, args.max_classes):
         print(" ".join(str(col.label(t, 1)) for t in range(1, col.length + 1)))
@@ -272,10 +256,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliInputError as e:
-        return _err(str(e))
     except ValueError as e:
-        return _err(str(e))
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -125,12 +125,6 @@ class PolynomialFamily:
     def nonzero_members(self) -> tuple[IntegralPolynomial, ...]:
         return tuple(p for p in self.polys if not p.is_zero())
 
-    def max_degree(self) -> int:
-        members = self.nonzero_members()
-        if not members:
-            raise ValueError("family has no nonzero members")
-        return max(p.degree for p in members)
-
     def coeff_lists(self) -> list[list[int]]:
         return [list(p.coeffs) for p in self.polys]
 

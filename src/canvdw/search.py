@@ -22,8 +22,8 @@ from .witness import (
     D_POLICIES,
     KIND_MONO,
     POLICY_NONZERO,
+    admitted_steps,
     find_witness,
-    scan_plan,
     verify_certificate,
 )
 
@@ -89,34 +89,6 @@ class SearchResult:
     engine: str
 
 
-def _position_plans(
-    mono_family: PolynomialFamily | None,
-    rainbow_family: PolynomialFamily | None,
-    depth_cap: int,
-    h: int,
-    d_policy: str,
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]], ...]:
-    # plans[t] holds the probes completed by colouring position t+1: every
-    # witness lying inside [t+1] whose largest element is t+1, once each, as
-    # the bitmask of its zero-based positions other than t.  A mono probe
-    # may repeat a position or have none besides t (mask 0).  A rainbow
-    # probe never repeats one and keeps its earlier positions for the
-    # distinctness test.  plans[t] is (mono masks, (positions, mask) pairs).
-    mono: list[dict[int, None]] = [{} for _ in range(depth_cap)]
-    rain: list[dict[int, tuple[int, ...]]] = [{} for _ in range(depth_cap)]
-    for kind, _, _, elems in scan_plan(mono_family, rainbow_family, depth_cap, h, d_policy):
-        t = max(elems) - 1
-        earlier = tuple(sorted({e - 1 for e in elems} - {t}))
-        mask = sum(1 << i for i in earlier)
-        if kind == KIND_MONO:
-            mono[t][mask] = None
-        else:
-            rain[t][mask] = earlier
-    return tuple(
-        (tuple(m), tuple((idx, pm) for pm, idx in r.items())) for m, r in zip(mono, rain)
-    )
-
-
 def _check_prune(cfg: SearchConfig, labels: list[int]) -> None:
     # Self check: the full scanner must find a witness inside a pruned
     # prefix, and its certificate must verify.
@@ -141,19 +113,47 @@ def _run_tree(
     position in per-depth stacks rather than on the call stack, so depth
     is not limited by recursion.
 
-    The prune check works on bitmasks: bit i of masks[c] is set while
-    prefix position i has class c, and each probe is the mask of its
-    positions before the new one.  Child label v completes a mono probe pm
-    iff masks[v] & pm == pm (so an empty pm always blocks).  On entering a
-    depth the walk keeps only the rainbow probes whose earlier positions
-    carry pairwise distinct labels, once per parent; v completes one of
-    those iff masks[v] & pm == 0.  Returns (per-depth counts or None if the
-    budget ran out, nodes expanded, collected complete colourings in
+    The probes of depth t are the witnesses inside [t+1] whose largest
+    element is t+1, each as the bitmask of its positions before t.  The
+    walk reads the step scan's slots once, at depth_cap, and builds a
+    depth's probes the first time it descends there: each slot gives at
+    most one, at anchor t+1 - max(offsets) if that is at least a_min.
+    Bit i of masks[c] is set while prefix position i has class c.  Child
+    label v completes a mono probe pm iff masks[v] & pm == pm (so an empty
+    pm, from a zero member, repeated members or d = 0, always blocks).  On
+    entering a depth the walk keeps only the rainbow probes whose earlier
+    positions carry pairwise distinct labels, once per parent; v completes
+    one of those iff masks[v] & pm == 0.  Returns (per-depth counts or None
+    if the budget ran out, nodes expanded, collected complete colourings in
     lexicographic order).
     """
-    plans = _position_plans(
-        cfg.mono_family, cfg.rainbow_family, depth_cap, cfg.h, cfg.d_policy
-    )
+    # Each slot as (kind, distinct offsets of the other elements from the
+    # largest one in increasing order, first depth at which its probe fits).
+    slots = []
+    steps = admitted_steps(cfg.mono_family, cfg.rainbow_family, depth_cap, cfg.h, cfg.d_policy)
+    for _, step in steps:
+        for kind, offsets, a_min, _ in step:
+            top = max(offsets)
+            slots.append((kind, tuple(sorted({off - top for off in offsets} - {0})), a_min + top - 1))
+
+    def probes(t: int) -> tuple:
+        mono: dict[int, None] = {}
+        rain: dict[int, tuple[int, ...]] = {}
+        for kind, shifts, first in slots:
+            if t < first:
+                continue
+            earlier = tuple(t + s for s in shifts)
+            mask = sum(1 << i for i in earlier)
+            if kind == KIND_MONO:
+                mono[mask] = None
+            else:
+                rain[mask] = earlier
+        return tuple(mono), tuple(rain.items())
+
+    # plans[t] is (mono masks, rainbow (mask, positions) pairs), de-duplicated
+    # in step-scan order; None until the walk first reaches depth t.
+    plans: list = [probes(0)] + [None] * (depth_cap - 1)
+
     # A prefix using `full` classes may not open a fresh one (-1: no cap).
     full = -1 if cfg.max_classes is None else cfg.max_classes
     budget = math.inf if cfg.node_budget is None else cfg.node_budget
@@ -168,7 +168,7 @@ def _run_tree(
     used = [0] * depth_cap
     masks = [0] * depth_cap
     live: list[list[int]] = [[]] * depth_cap
-    live[0] = [pm for _, pm in plans[0][1]]
+    live[0] = [pm for pm, _ in plans[0][1]]
     mono_t, rain_t = plans[0][0], live[0]
     nodes = 0
     depth = 0
@@ -212,9 +212,11 @@ def _run_tree(
         depth += 1
         labels[depth] = -1
         used[depth] = u + 1 if v == u else u
+        if plans[depth] is None:
+            plans[depth] = probes(depth)
         mono_t = plans[depth][0]
         rain_t = live[depth] = [
-            pm for idx, pm in plans[depth][1] if len({labels[i] for i in idx}) == len(idx)
+            pm for pm, idx in plans[depth][1] if len({labels[i] for i in idx}) == len(idx)
         ]
     return counts, nodes, collected
 

@@ -256,7 +256,7 @@ def step_admitted(kind: str, d: int, h: int, d_policy: str) -> bool:
     return d != 0
 
 
-def _admitted_steps(
+def admitted_steps(
     mono_family: PolynomialFamily | None,
     rainbow_family: PolynomialFamily | None,
     length: int,
@@ -269,9 +269,10 @@ def _admitted_steps(
     slots lists (kind, offsets, a_min, a_max) per family admitting d, mono
     first, where offsets are (0, p_1(d), ..., p_k(d)) and a_min..a_max are
     the anchors keeping every element inside the interval.  This is the one
-    step scan: it applies step_admitted and the window bound, and drops
-    rainbow steps whose elements repeat a position, since they can never be
-    rainbow.
+    step scan: it applies step_admitted and the window bound, drops rainbow
+    steps whose elements repeat a position, since they can never be
+    rainbow, and lists a family with no nonzero member only at its first
+    admitted step, since its offsets are the same at every step.
     """
     fams = []
     if mono_family is not None and mono_family.polys:
@@ -297,9 +298,11 @@ def _admitted_steps(
     for size in range(bound + 1):
         for d in ((0,) if size == 0 else (size, -size)):
             slots = []
-            for kind, fam in fams:
+            for kind, fam in tuple(fams):
                 if not step_admitted(kind, d, h, d_policy):
                     continue
+                if not fam.nonzero_members():
+                    fams.remove((kind, fam))
                 offsets = (0,) + tuple(p.evaluate(d) for p in fam.polys)
                 if kind == KIND_RAINBOW and len(set(offsets)) != len(offsets):
                     continue
@@ -318,25 +321,22 @@ _PLAN_CACHE_PROBES = 500_000
 _plans: dict[tuple, tuple[tuple[str, int, int, tuple[int, ...]], ...]] = {}
 
 
-def scan_plan(
+def _scan_plan(
     mono_family: PolynomialFamily | None,
     rainbow_family: PolynomialFamily | None,
     length: int,
     h: int,
     d_policy: str,
 ) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-    """Every candidate witness inside [length], in scan order.
-
-    Expands each admitted step of the step scan into its anchors.  Probes
-    are (kind, a, d, elements) with kind KIND_MONO or KIND_RAINBOW, ordered
-    by increasing |d|, positive step first, then increasing anchor, the
-    mono probe before the rainbow probe at each (a, d).  Plans are cached.
-    """
+    # Every candidate witness inside [length], in find_witness's scan order:
+    # each admitted step expanded into its anchors, as (kind, a, d,
+    # elements) with kind KIND_MONO or KIND_RAINBOW, mono before rainbow at
+    # each (a, d).
     key = (mono_family, rainbow_family, length, h, d_policy)
     plan = _plans.pop(key, None)
     if plan is None:
         probes = []
-        for d, slots in _admitted_steps(*key):
+        for d, slots in admitted_steps(*key):
             for a in range(min(s[2] for s in slots), max(s[3] for s in slots) + 1):
                 for kind, offsets, a_min, a_max in slots:
                     if a_min <= a <= a_max:
@@ -363,7 +363,7 @@ def d_max(family: PolynomialFamily, interval_len: int, h: int) -> int | None:
         raise ValueError(f"h must be non-negative, got {h}")
     if not family.nonzero_members():
         raise ValueError("d_max undefined for a family with no nonzero members")
-    steps = _admitted_steps(family, None, interval_len, 0, POLICY_POSITIVE)
+    steps = admitted_steps(family, None, interval_len, 0, POLICY_POSITIVE)
     return max((d for d, _ in steps if d > h), default=None)
 
 
@@ -387,7 +387,7 @@ def find_witness(
         raise ValueError(f"unknown d policy {d_policy!r}")
     if h < 0:
         raise ValueError(f"h must be non-negative, got {h}")
-    plan = scan_plan(mono_family, rainbow_family, colouring.length, h, d_policy)
+    plan = _scan_plan(mono_family, rainbow_family, colouring.length, h, d_policy)
     bounded = colouring.n is not None
     digest = None
     for kind, a, d, elems in plan:
@@ -487,7 +487,7 @@ def find_focused_collection(
     # The rainbow steps whose anchor range holds the focus are exactly the
     # focused patterns (distinct, without the focus) that fit the interval.
     candidates = []
-    for d, slots in _admitted_steps(None, family, colouring.length, h, POLICY_GT_H_FOR_RAINBOW):
+    for d, slots in admitted_steps(None, family, colouring.length, h, POLICY_GT_H_FOR_RAINBOW):
         _, offsets, a_min, a_max = slots[0]
         if a_min <= focus <= a_max:
             elems = tuple(focus + off for off in offsets[1:])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -161,6 +162,23 @@ def test_unfound_number_is_reported_as_exhausted():
     assert res.witness_free_per_length == (1,) * 1200
 
 
+def test_search_cost_does_not_grow_with_n_limit():
+    # W(3;2) dies at depth 9.  The walk builds a depth's probes when it
+    # first reaches that depth, so an n_limit far past the answer costs
+    # about what the answer does.
+    cfg = SearchConfig(mono_family=fam([1], [2]), max_classes=2, n_limit=1000)
+    tracemalloc.start()
+    try:
+        res = canonical_number(cfg)
+        found = extremal_colourings(cfg, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.canonical_number, res.nodes_expanded) == (9, 79)
+    assert found == []
+    assert peak < 1 << 20
+
+
 def test_run_report_shape():
     import json
 
@@ -195,9 +213,9 @@ def test_config_validation():
 
 
 def test_engines_agree_on_random_families():
-    # The pruned engine regroups the scanner's probes by largest element and
+    # The pruned engine builds each depth's probes from the step scan and
     # checks only the newest position; the naive engine scans every whole
-    # colouring.  Agreement under every policy and h checks that regrouping
+    # colouring.  Agreement under every policy and h checks those probes
     # and the prune on families beyond the fixed grids.
     rng = random.Random(20200416)
     for _ in range(10):

@@ -16,7 +16,7 @@ from canvdw.witness import (
     D_POLICIES,
     Certificate,
     FocusedCollection,
-    _admitted_steps,
+    admitted_steps,
     collection_norm,
     d_max,
     find_focused_collection,
@@ -393,6 +393,33 @@ def test_step_scans_do_not_expand_anchors():
     assert found is not None and found.members == ((1, (length // 2 + 1,)),)
     assert peak < 1 << 20
 
+
+def test_zero_mono_family_is_scanned_at_one_step():
+    # A family with no nonzero member has offsets (0, ..., 0) at every
+    # step, so the step scan lists it only at its first admitted step: 60
+    # mono probes at length 60, not one per anchor of each of 120 steps.
+    zero, x = fam([]), fam([1], role="rainbow")
+    for policy in D_POLICIES:
+        mono = [
+            (d, a_min, a_max)
+            for d, slots in admitted_steps(zero, x, 60, 0, policy)
+            for kind, _, a_min, a_max in slots
+            if kind == KIND_MONO
+        ]
+        assert mono == [(0 if policy == POLICY_ANY else 1, 1, 60)], policy
+    # That first probe decides every scan: it hits whenever m >= 1, and no
+    # mono probe can hit when m = 0.
+    rng = random.Random(20201118)
+    for _ in range(40):
+        length = rng.randint(1, 12)
+        col = random_colouring(rng, length, m=1, classes=3)
+        cert = find_witness(col, zero, x)
+        assert (cert.kind, cert.a, cert.d, cert.elements) == (KIND_MONO, 1, 1, (1, 1))
+        col = random_colouring(rng, length, m=0, n=3)
+        cert = find_witness(col, fam([], []), x)
+        assert cert is None or cert.kind == KIND_FULLY_RAINBOW
+
+
 def test_certificates_round_trip_exhaustively():
     # every canonical single-coordinate colouring up to length 8, checked
     # with the two-member linear families
@@ -492,11 +519,11 @@ def test_step_scan_window_bound_matches_brute_force():
         policy = rng.choice(D_POLICIES)
         scanned = [
             (d, kind, offsets, a_min, a_max)
-            for d, slots in _admitted_steps(mono, rainbow, length, h, policy)
+            for d, slots in admitted_steps(mono, rainbow, length, h, policy)
             for kind, offsets, a_min, a_max in slots
         ]
         assert scanned == _brute_force_steps(mono, rainbow, length, h, policy), (mono, rainbow, length, h, policy)
     # The bound divides by the leading coefficient: a 31-digit coefficient
     # ends the scan at once instead of after about 10**30 empty steps.
-    assert list(_admitted_steps(fam([10**30]), None, 3, 0, POLICY_ANY)) == [(0, [(KIND_MONO, (0, 0), 1, 3)])]
+    assert list(admitted_steps(fam([10**30]), None, 3, 0, POLICY_ANY)) == [(0, [(KIND_MONO, (0, 0), 1, 3)])]
     assert find_witness(TypedColouring.single((0, 1, 2)), fam([10**30], [1])) is None
