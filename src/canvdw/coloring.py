@@ -10,7 +10,7 @@ always taken verbatim.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 
@@ -35,6 +35,10 @@ class TypedColouring:
     m: int
     n: int | None
     rows: tuple[tuple[int, ...], ...]
+    # Hex digest of serialize(self), filled in by colouring_digest on first
+    # use.  A declared field keeps the key order of every instance's dict
+    # the same, so the dicts stay key-sharing.
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 0:
@@ -165,8 +169,17 @@ def enumerate_colourings(length: int, max_classes: int | None = None) -> Iterato
         raise ValueError(f"length must be non-negative, got {length}")
     if max_classes is not None and max_classes < 1:
         raise ValueError(f"max_classes must be positive, got {max_classes}")
+    # TypedColouring.single without __post_init__: restricted-growth labels
+    # are non-negative ints by construction.  The fields are set in the
+    # generated __init__'s order, so instance dicts stay key-sharing.
+    new, put = object.__new__, object.__setattr__
     for s in _rgs_strings(length, max_classes):
-        yield TypedColouring.single(s)
+        c = new(TypedColouring)
+        put(c, "m", 1)
+        put(c, "n", None)
+        put(c, "rows", tuple((lab,) for lab in s))
+        put(c, "_digest", None)
+        yield c
 
 
 def block_fingerprint(colouring: TypedColouring, block: int, block_len: int) -> EquivalenceFingerprint:
@@ -251,13 +264,18 @@ def serialize(colouring: TypedColouring) -> str:
         head = f"m={colouring.m} n={colouring.n} N={colouring.length}"
     lines = [head]
     for row in colouring.rows:
-        lines.append(" ".join(str(lab) for lab in row))
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
 def colouring_digest(colouring: TypedColouring) -> str:
-    """Hex sha-256 of the canonical serialization."""
-    return hashlib.sha256(serialize(colouring).encode("utf-8")).hexdigest()
+    """Hex sha-256 of the canonical serialization, computed once per
+    colouring object and cached on it."""
+    digest = colouring._digest
+    if digest is None:
+        digest = hashlib.sha256(serialize(colouring).encode("utf-8")).hexdigest()
+        object.__setattr__(colouring, "_digest", digest)
+    return digest
 
 
 def _parse_int(token: str, lineno: int) -> int:

@@ -105,6 +105,10 @@ class PolynomialFamily:
 
     polys: tuple[IntegralPolynomial, ...] = ()
     role: str = ROLE_MONO
+    # Families key the witness scanner's plan cache, so the hash is
+    # computed once, from what __eq__ compares.  It hashes no string, so a
+    # copied or unpickled family's stored hash holds in any process.
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "polys", tuple(self.polys))
@@ -115,6 +119,11 @@ class PolynomialFamily:
                 raise ValueError("rainbow families must not contain the zero polynomial")
             if len(set(self.polys)) != len(self.polys):
                 raise ValueError("rainbow families must be pairwise distinct")
+        members = tuple(p.coeffs for p in self.polys)
+        object.__setattr__(self, "_hash", hash((members, self.role == ROLE_RAINBOW)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.polys)

@@ -331,16 +331,20 @@ def _scan_plan(
     # Every candidate witness inside [length], in find_witness's scan order:
     # each admitted step expanded into its anchors, as (kind, a, d,
     # elements) with kind KIND_MONO or KIND_RAINBOW, mono before rainbow at
-    # each (a, d).
+    # each (a, d).  The two probes at one (a, d) share their elements tuple
+    # when the families' offsets agree.
     key = (mono_family, rainbow_family, length, h, d_policy)
     plan = _plans.pop(key, None)
     if plan is None:
         probes = []
         for d, slots in admitted_steps(*key):
             for a in range(min(s[2] for s in slots), max(s[3] for s in slots) + 1):
+                last = elems = None
                 for kind, offsets, a_min, a_max in slots:
                     if a_min <= a <= a_max:
-                        probes.append((kind, a, d, tuple(a + off for off in offsets)))
+                        if offsets != last:
+                            last, elems = offsets, tuple(a + off for off in offsets)
+                        probes.append((kind, a, d, elems))
         plan = tuple(probes)
         held = sum(map(len, _plans.values()))
         while _plans and held + len(plan) > _PLAN_CACHE_PROBES:
@@ -418,22 +422,27 @@ def verify_certificate(colouring: TypedColouring, cert: Certificate) -> VerifyRe
     Rejections carry a reason code: "kind mismatch", "digest mismatch",
     "element mismatch", "out of range", "step not admitted" (per
     step_admitted under the certificate's d_policy and h), "evidence
-    mismatch" or "predicate failed".
+    mismatch" or "predicate failed".  Fields are held to the types
+    Certificate.from_json accepts, so a bool or float that equals the right
+    int is rejected under the code of the check it would have passed.
     """
     if cert.kind not in (KIND_MONO, KIND_RAINBOW, KIND_FULLY_RAINBOW):
         return VerifyResult(False, "kind mismatch")
     if cert.digest != colouring_digest(colouring):
         return VerifyResult(False, "digest mismatch")
+    if not (_is_int(cert.a) and _is_int(cert.d)):
+        return VerifyResult(False, "element mismatch")
     expected = (cert.a,) + tuple(cert.a + p.evaluate(cert.d) for p in cert.family.polys)
-    if tuple(cert.elements) != expected:
+    if tuple(cert.elements) != expected or not all(map(_is_int, cert.elements)):
         return VerifyResult(False, "element mismatch")
     if any(not 1 <= e <= colouring.length for e in expected):
         return VerifyResult(False, "out of range")
-    if not step_admitted(cert.kind, cert.d, cert.h, cert.d_policy):
+    h_ok = _is_int(cert.h) and cert.h >= 0
+    if not (h_ok and step_admitted(cert.kind, cert.d, cert.h, cert.d_policy)):
         return VerifyResult(False, "step not admitted")
     if cert.kind == KIND_MONO:
         j = cert.evidence
-        if not isinstance(j, int) or not 1 <= j <= colouring.m:
+        if not _is_int(j) or not 1 <= j <= colouring.m:
             return VerifyResult(False, "evidence mismatch")
         first = colouring.rows[expected[0] - 1][j - 1]
         if any(colouring.rows[e - 1][j - 1] != first for e in expected):
@@ -449,7 +458,7 @@ def verify_certificate(colouring: TypedColouring, cert: Certificate) -> VerifyRe
         lab = is_fully_rainbow(colouring, expected)
         if lab is None:
             return VerifyResult(False, "predicate failed")
-        if lab != cert.evidence:
+        if not _is_int(cert.evidence) or lab != cert.evidence:
             return VerifyResult(False, "evidence mismatch")
     return VerifyResult(True, None)
 

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import canvdw
 from canvdw.cli import main
 from canvdw.coloring import parse_colouring
 from canvdw.polynomial import parse_family
@@ -197,6 +202,17 @@ def test_hvalue_and_weight(files, capsys):
     mixed = files("mixed.json", '{"polys": [[1], [2], [0, 1]]}')
     code, out, err = run(capsys, "weight", "--family", mixed)
     assert (code, out) == (0, "2 1\n")
+
+
+def test_python_dash_m_runs_the_cli(files):
+    grown = files("fam.json", '{"polys": [[1, 1], [3, 1]]}')
+    src = str(Path(canvdw.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "canvdw", "hvalue", "--family", grown],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 
 def test_bstar(files, capsys):

@@ -109,6 +109,17 @@ def test_enumerate_is_lexicographic():
     assert long == [(0,) * 3000, (0,) * 2999 + (1,), (0,) * 2998 + (1, 0)]
 
 
+def test_enumerated_colourings_match_validated_ones():
+    for length in range(9):
+        for cap in (None, 1, 2, 3):
+            for c in enumerate_colourings(length, cap):
+                labels = tuple(row[0] for row in c.rows)
+                built = TypedColouring(1, None, tuple((lab,) for lab in labels))
+                assert c == built
+                assert (hash(c), repr(c)) == (hash(built), repr(built))
+                assert colouring_digest(c) == colouring_digest(built)
+
+
 def test_extend():
     assert list(extend((0, 1, 0))) == [(0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2)]
     assert list(extend((0, 1, 0), max_classes=2)) == [(0, 1, 0, 0), (0, 1, 0, 1)]

@@ -271,6 +271,22 @@ def test_rainbow_family_invariants():
         PolynomialFamily((X,), "sparkly")
 
 
+def test_family_hash_follows_equality():
+    padded = PolynomialFamily.from_coeff_lists([[1, 0]])
+    plain = PolynomialFamily.from_coeff_lists([[1]])
+    assert padded == plain and hash(padded) == hash(plain)
+    rng = random.Random(29)
+    for _ in range(100):
+        lists = [[rng.randint(-2, 2) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(0, 3))]
+        same = PolynomialFamily.from_coeff_lists([cs + [0] * rng.randint(0, 2) for cs in lists])
+        assert same == PolynomialFamily.from_coeff_lists(lists)
+        assert hash(same) == hash(PolynomialFamily.from_coeff_lists(lists))
+    mono = PolynomialFamily.from_coeff_lists([[1], [2]], "mono")
+    rainbow = PolynomialFamily.from_coeff_lists([[1], [2]], "rainbow")
+    assert mono != rainbow
+    assert len({mono, rainbow, PolynomialFamily.from_coeff_lists([[1], [2]])}) == 2
+
+
 def test_parse_and_dump_family():
     family = parse_family('{"polys": [[1], [2], [0, 1]], "role": "mono"}')
     assert [p.coeffs for p in family.polys] == [(1,), (2,), (0, 1)]

@@ -1,11 +1,13 @@
 import dataclasses
+import hashlib
 import json
 import random
 import tracemalloc
 
 import pytest
 
-from canvdw.coloring import TypedColouring, colouring_digest, enumerate_colourings
+import canvdw.coloring
+from canvdw.coloring import TypedColouring, colouring_digest, enumerate_colourings, serialize
 from canvdw.witness import (
     KIND_FULLY_RAINBOW,
     KIND_MONO,
@@ -268,6 +270,26 @@ def test_verify_certificate_rejections():
     wrong_label = dataclasses.replace(good, evidence=1)
     assert verify_certificate(labelled, wrong_label).reason == "evidence mismatch"
 
+    # Values equal to the right ints but not ints themselves would verify
+    # and then fail Certificate.from_json; they are rejected here too.
+    assert (cert.a, cert.d, cert.elements) == (1, 1, (1, 2))
+    for name, value in (("a", True), ("d", True), ("elements", (True, 2)), ("a", 1.0)):
+        odd = dataclasses.replace(cert, **{name: value})
+        assert verify_certificate(c, odd).reason == "element mismatch", (name, value)
+    pair = TypedColouring.single((1, 1))
+    mono_cert = find_witness(pair, fam([1]))
+    assert mono_cert.evidence == 1 and verify_certificate(pair, mono_cert).ok
+    ones = TypedColouring(m=1, n=2, rows=((1, 1), (2, 1)))
+    rainbow_one = find_witness(ones, None, fam([1], role="rainbow"))
+    assert rainbow_one.evidence == 1 and verify_certificate(ones, rainbow_one).ok
+    for col, good_cert in ((pair, mono_cert), (ones, rainbow_one)):
+        for value in (True, 1.0):
+            odd = dataclasses.replace(good_cert, evidence=value)
+            assert verify_certificate(col, odd).reason == "evidence mismatch", (good_cert.kind, value)
+        for value in (True, 0.0, -1):
+            odd = dataclasses.replace(good_cert, h=value)
+            assert verify_certificate(col, odd).reason == "step not admitted", (good_cert.kind, value)
+
     # forged steps: every element is right for (a, d), but d is not admitted
     ap3 = fam([1], [2])
     zero = Certificate(KIND_MONO, 2, 0, (2, 2, 2), 1, ap3, colouring_digest(c), "nonzero", 0)
@@ -291,6 +313,48 @@ def test_verify_result_is_truthy():
     cert = find_witness(c, fam([1]))
     assert verify_certificate(c, cert)
     assert not verify_certificate(c, dataclasses.replace(cert, digest="0" * 64))
+
+
+def test_one_digest_per_colouring(monkeypatch):
+    serialized = []
+
+    def counting(colouring):
+        serialized.append(colouring)
+        return serialize(colouring)
+
+    monkeypatch.setattr(canvdw.coloring, "serialize", counting)
+    c = TypedColouring(m=2, n=2, rows=((0, 3, 1), (1, 3, 2), (0, 4, 1), (2, 5, 2), (0, 6, 1)))
+    cert = find_witness(c, fam([1], [2]), fam([1], role="rainbow"))
+    assert cert is not None
+    back = Certificate.from_json(cert.to_json())
+    assert back == cert and verify_certificate(c, back).ok
+    elems = cert.elements
+    mutated = (
+        dataclasses.replace(cert, elements=elems[:-1] + (elems[-1] + 1,)),
+        dataclasses.replace(cert, a=cert.a + 1),
+        dataclasses.replace(cert, digest="0" * 64),
+    )
+    assert [verify_certificate(c, m).reason for m in mutated] == [
+        "element mismatch", "element mismatch", "digest mismatch",
+    ]
+    assert serialized == [c]
+
+    fresh = TypedColouring(c.m, c.n, c.rows)
+    assert colouring_digest(c) == hashlib.sha256(serialize(fresh).encode("utf-8")).hexdigest()
+    assert colouring_digest(fresh) == colouring_digest(c)
+    assert len(serialized) == 2
+
+    changed = dataclasses.replace(c, rows=c.rows[:-1] + ((1, 6, 1),))
+    assert colouring_digest(changed) == hashlib.sha256(serialize(changed).encode("utf-8")).hexdigest()
+    assert colouring_digest(changed) != colouring_digest(c)
+    assert len(serialized) == 3 and serialized[-1] is changed
+
+    plain = TypedColouring(1, 2, ((4, 1), (4, 2)))
+    twin = TypedColouring(1, 2, ((4, 1), (4, 2)))
+    before = (plain == twin, hash(plain), repr(plain))
+    colouring_digest(plain)
+    assert (plain == twin, hash(plain), repr(plain)) == before
+    assert before[0] and hash(twin) == before[1] and repr(twin) == before[2]
 
 
 def test_witness_set_view():
