@@ -56,6 +56,7 @@ from .witness import (
     d_max,
     find_focused_collection,
     find_witness,
+    first_witness,
     is_focused,
     is_fully_rainbow,
     is_monochromatic,

@@ -11,6 +11,7 @@ keep working, but it has no other effect.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import coloring, polynomial, search, witness
@@ -32,6 +33,10 @@ def _write_out(path: str | None, text: str) -> None:
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _label_line(col: coloring.TypedColouring) -> str:
+    return " ".join(map(str, col.coordinate(1)))
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
@@ -136,10 +141,7 @@ def _cmd_number(args: argparse.Namespace) -> int:
 def _cmd_extremal(args: argparse.Namespace) -> int:
     cfg = _search_config(args)
     found = search.extremal_colourings(cfg, args.at_length, args.limit)
-    lines = []
-    for col in found:
-        lines.append(" ".join(str(col.label(t, 1)) for t in range(1, col.length + 1)))
-    text = "\n".join(lines) + ("\n" if lines else "")
+    text = "".join(_label_line(col) + "\n" for col in found)
     sys.stdout.write(text)
     _write_out(args.out, text)
     return 0 if found else 1
@@ -177,16 +179,11 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.length < 0:
-        raise ValueError(f"length must be non-negative, got {args.length}")
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be positive, got {args.limit}")
-    count = 0
-    for col in coloring.enumerate_colourings(args.length, args.max_classes):
-        print(" ".join(str(col.label(t, 1)) for t in range(1, col.length + 1)))
-        count += 1
-        if args.limit is not None and count >= args.limit:
-            break
+    cols = coloring.enumerate_colourings(args.length, args.max_classes)
+    for col in itertools.islice(cols, args.limit):
+        print(_label_line(col))
     return 0
 
 

@@ -298,6 +298,7 @@ def parse_colouring(text: str) -> TypedColouring:
     if not numbered:
         raise ColouringFormatError("empty colouring document")
 
+    # Reduce the three layouts to (m, n, one numbered line per element).
     first_no, first = numbered[0]
     if "=" in first:
         fields: dict[str, int] = {}
@@ -309,51 +310,34 @@ def parse_colouring(text: str) -> TypedColouring:
         if "m" not in fields or "N" not in fields:
             raise ColouringFormatError("header must declare m= and N=", first_no)
         m, n, length = fields["m"], fields.get("n"), fields["N"]
-        body = numbered[1:]
-        if len(body) != length:
+        lines = numbered[1:]
+        if not lines and (m, n) == (0, None):
+            # Rows without labels serialize as the empty lines dropped above.
+            lines = [(first_no, "")] * length
+        if len(lines) != length:
             raise ColouringFormatError(
-                f"expected {length} element lines, found {len(body)}", first_no
+                f"expected {length} element lines, found {len(lines)}", first_no
             )
-        width = m + (1 if n is not None else 0)
-        rows = []
-        for lineno, ln in body:
-            toks = ln.split()
-            if len(toks) != width:
-                raise ColouringFormatError(
-                    f"expected {width} labels, found {len(toks)}", lineno
-                )
-            vals = tuple(_parse_int(t, lineno) for t in toks)
-            for lab in vals[:m]:
-                if lab < 0:
-                    raise ColouringFormatError(f"negative label {lab}", lineno)
-            if n is not None and not 1 <= vals[m] <= n:
-                raise ColouringFormatError(
-                    f"final label {vals[m]} outside 1..{n}", lineno
-                )
-            rows.append(vals)
-        try:
-            return TypedColouring(m, n, tuple(rows))
-        except ValueError as e:
-            raise ColouringFormatError(str(e), first_no) from None
+    elif len(numbered) == 1:
+        m, n, lines = 1, None, [(first_no, tok) for tok in first.split()]
+    else:
+        m, n, lines = len(first.split()), None, numbered
 
-    if len(numbered) == 1:
-        labels = [_parse_int(t, first_no) for t in first.split()]
-        if any(lab < 0 for lab in labels):
-            raise ColouringFormatError("negative label", first_no)
-        return TypedColouring.single(labels)
-
-    width = len(first.split())
+    width = m + (1 if n is not None else 0)
     rows = []
-    for lineno, ln in numbered:
+    for lineno, ln in lines:
         toks = ln.split()
         if len(toks) != width:
             raise ColouringFormatError(f"expected {width} labels, found {len(toks)}", lineno)
         vals = tuple(_parse_int(t, lineno) for t in toks)
-        if any(lab < 0 for lab in vals):
-            raise ColouringFormatError("negative label", lineno)
+        for lab in vals[:m]:
+            if lab < 0:
+                raise ColouringFormatError(f"negative label {lab}", lineno)
+        if n is not None and not 1 <= vals[m] <= n:
+            raise ColouringFormatError(f"final label {vals[m]} outside 1..{n}", lineno)
         rows.append(vals)
     try:
-        return TypedColouring(width, None, tuple(rows))
+        return TypedColouring(m, n, tuple(rows))
     except ValueError as e:
         raise ColouringFormatError(str(e), first_no) from None
 

@@ -24,6 +24,7 @@ from .witness import (
     POLICY_NONZERO,
     admitted_steps,
     find_witness,
+    first_witness,
     verify_certificate,
 )
 
@@ -89,18 +90,15 @@ class SearchResult:
     engine: str
 
 
-def _check_prune(cfg: SearchConfig, labels: list[int]) -> None:
-    # Self check: the full scanner must find a witness inside a pruned
-    # prefix, and its certificate must verify.
-    truncated = TypedColouring.single(tuple(labels))
-    cert = find_witness(truncated, cfg.mono_family, cfg.rainbow_family, cfg.h, cfg.d_policy)
+def _self_check(cfg: SearchConfig, colouring: TypedColouring) -> None:
+    # The full scanner must certify a witness inside a colouring that an
+    # engine found one in, and the certificate must verify.
+    cert = find_witness(colouring, cfg.mono_family, cfg.rainbow_family, cfg.h, cfg.d_policy)
     if cert is None:
-        raise AssertionError(f"pruned prefix {tuple(labels)} has no witness inside itself")
-    verdict = verify_certificate(truncated, cert)
+        raise AssertionError(f"colouring {colouring.coordinate(1)} has no witness inside itself")
+    verdict = verify_certificate(colouring, cert)
     if not verdict.ok:
-        raise AssertionError(
-            f"certificate for pruned prefix {tuple(labels)} failed: {verdict.reason}"
-        )
+        raise AssertionError(f"certificate for {colouring.coordinate(1)} failed: {verdict.reason}")
 
 
 def _run_tree(
@@ -199,7 +197,7 @@ def _run_tree(
                     break
         if blocked:
             if self_check:
-                _check_prune(cfg, labels[: depth + 1])
+                _self_check(cfg, TypedColouring.single(labels[: depth + 1]))
             continue
         counts[depth + 1] += 1
         if depth + 1 == depth_cap:
@@ -281,17 +279,10 @@ def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
                 raise EnumerationCapExceeded(
                     f"naive engine exceeded its enumeration cap of {cap}"
                 )
-            cert = find_witness(
-                col, cfg.mono_family, cfg.rainbow_family, cfg.h, cfg.d_policy
-            )
-            if cert is None:
+            if first_witness(col, cfg.mono_family, cfg.rainbow_family, cfg.h, cfg.d_policy) is None:
                 free += 1
             elif cfg.self_check:
-                verdict = verify_certificate(col, cert)
-                if not verdict.ok:
-                    raise AssertionError(
-                        f"witness certificate failed re-check: {verdict.reason}"
-                    )
+                _self_check(cfg, col)
         return free
 
     prev = 1 if cfg.n_start == 1 else witness_free_count(cfg.n_start - 1)

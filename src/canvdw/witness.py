@@ -328,7 +328,7 @@ def _scan_plan(
     h: int,
     d_policy: str,
 ) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-    # Every candidate witness inside [length], in find_witness's scan order:
+    # Every candidate witness inside [length], in first_witness's scan order:
     # each admitted step expanded into its anchors, as (kind, a, d,
     # elements) with kind KIND_MONO or KIND_RAINBOW, mono before rainbow at
     # each (a, d).  The two probes at one (a, d) share their elements tuple
@@ -371,13 +371,13 @@ def d_max(family: PolynomialFamily, interval_len: int, h: int) -> int | None:
     return max((d for d, _ in steps if d > h), default=None)
 
 
-def find_witness(
+def first_witness(
     colouring: TypedColouring,
     mono_family: PolynomialFamily | None,
     rainbow_family: PolynomialFamily | None = None,
     h: int = 0,
     d_policy: str = POLICY_NONZERO,
-) -> Certificate | None:
+) -> WitnessSet | None:
     """First witness in the deterministic scan order, or None.
 
     The scan runs over increasing |d| with positive steps before negative
@@ -393,27 +393,34 @@ def find_witness(
         raise ValueError(f"h must be non-negative, got {h}")
     plan = _scan_plan(mono_family, rainbow_family, colouring.length, h, d_policy)
     bounded = colouring.n is not None
-    digest = None
     for kind, a, d, elems in plan:
         if kind == KIND_MONO:
             j = is_monochromatic(colouring, elems)
-            if j is None:
-                continue
-            found = (KIND_MONO, j, mono_family)
+            if j is not None:
+                return WitnessSet(KIND_MONO, a, d, elems, j)
         elif bounded:
             lab = is_fully_rainbow(colouring, elems)
-            if lab is None:
-                continue
-            found = (KIND_FULLY_RAINBOW, lab, rainbow_family)
-        else:
-            if not is_rainbow(colouring, elems):
-                continue
-            found = (KIND_RAINBOW, None, rainbow_family)
-        kind_out, evidence, fam = found
-        if digest is None:
-            digest = colouring_digest(colouring)
-        return Certificate(kind_out, a, d, elems, evidence, fam, digest, d_policy, h)
+            if lab is not None:
+                return WitnessSet(KIND_FULLY_RAINBOW, a, d, elems, lab)
+        elif is_rainbow(colouring, elems):
+            return WitnessSet(KIND_RAINBOW, a, d, elems, None)
     return None
+
+
+def find_witness(
+    colouring: TypedColouring,
+    mono_family: PolynomialFamily | None,
+    rainbow_family: PolynomialFamily | None = None,
+    h: int = 0,
+    d_policy: str = POLICY_NONZERO,
+) -> Certificate | None:
+    """first_witness's witness as a certificate bound to the colouring, or None."""
+    w = first_witness(colouring, mono_family, rainbow_family, h, d_policy)
+    if w is None:
+        return None
+    fam = mono_family if w.kind == KIND_MONO else rainbow_family
+    digest = colouring_digest(colouring)
+    return Certificate(w.kind, w.a, w.d, w.elements, w.evidence, fam, digest, d_policy, h)
 
 
 def verify_certificate(colouring: TypedColouring, cert: Certificate) -> VerifyResult:

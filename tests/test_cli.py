@@ -248,6 +248,10 @@ def test_enumerate(files, capsys):
     code, out, err = run(capsys, "enumerate", "--length", "3", "--limit", "0")
     assert (code, out) == (2, "")
     assert "--limit" in err
+    code, out, err = run(capsys, "enumerate", "--length", "-1")
+    assert (code, out, err) == (2, "", "error: length must be non-negative, got -1\n")
+    code, out, err = run(capsys, "enumerate", "--length", "3", "--max-classes", "0")
+    assert (code, out, err) == (2, "", "error: max_classes must be positive, got 0\n")
 
 
 def test_malformed_inputs_carry_positions(files, capsys):

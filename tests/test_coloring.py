@@ -228,6 +228,12 @@ def test_parse_colouring_round_trip():
     for _ in range(60):
         c = random_colouring(rng, rng.randint(0, 6), rng.randint(1, 3), rng.choice([None, 2]))
         assert parse_colouring(serialize(c)) == c
+    # Without a bounded coordinate, rows with no labels serialize as empty
+    # lines.
+    for length in range(5):
+        for n in (None, 2):
+            c = random_colouring(rng, length, 0, n)
+            assert parse_colouring(serialize(c)) == c
 
 
 def test_parse_colouring_headerless():

@@ -37,3 +37,18 @@ def test_modules_use_only_public_names_of_each_other():
             ):
                 found.append(f"{path.name}:{node.lineno}: uses {node.value.id}.{node.attr}")
     assert found == []
+
+
+def test_public_names_are_exported_from_the_package():
+    # Every public function and class of the library modules is reachable
+    # as canvdw.<name>, and is the module's own object.
+    missing = []
+    for modname in ("coloring", "polynomial", "search", "witness"):
+        path = SRC / f"{modname}.py"
+        module = getattr(canvdw, modname)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if getattr(canvdw, node.name, None) is not getattr(module, node.name):
+                    missing.append(f"{modname}.{node.name}")
+    assert missing == []

@@ -1,8 +1,11 @@
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
+import canvdw.coloring
+import canvdw.search
 from canvdw.search import (
     EnumerationCapExceeded,
     SearchConfig,
@@ -138,6 +141,35 @@ def test_self_check_modes():
         )
         assert canonical_number(checked).canonical_number == canonical_number(cfg).canonical_number
         assert naive_canonical_number(checked).canonical_number == canonical_number(cfg).canonical_number
+
+
+def test_naive_engine_certifies_only_under_self_check(monkeypatch):
+    serialized = []
+    verified = []
+    serialize = canvdw.coloring.serialize
+    verify = canvdw.search.verify_certificate
+
+    def counting_serialize(colouring):
+        serialized.append(colouring)
+        return serialize(colouring)
+
+    def counting_verify(colouring, cert):
+        verified.append(colouring)
+        return verify(colouring, cert)
+
+    monkeypatch.setattr(canvdw.coloring, "serialize", counting_serialize)
+    monkeypatch.setattr(canvdw.search, "verify_certificate", counting_verify)
+    for cfg in (LINEAR, W32):
+        serialized.clear()
+        verified.clear()
+        res = naive_canonical_number(cfg)
+        assert serialized == [] and verified == []
+        checked = naive_canonical_number(replace(cfg, self_check=True))
+        assert checked == replace(res, wall_time=checked.wall_time)
+        # One verified certificate per colouring that has a witness.
+        with_witness = res.nodes_expanded - sum(res.witness_free_per_length)
+        assert len(verified) == len(set(verified)) == with_witness > 0
+        assert len(serialized) == with_witness
 
 
 def test_unfound_number_is_reported_as_exhausted():

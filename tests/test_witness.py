@@ -23,6 +23,7 @@ from canvdw.witness import (
     d_max,
     find_focused_collection,
     find_witness,
+    first_witness,
     is_focused,
     is_fully_rainbow,
     is_monochromatic,
@@ -364,6 +365,29 @@ def test_witness_set_view():
     assert (w.kind, w.a, w.d, w.elements, w.evidence) == (
         cert.kind, cert.a, cert.d, cert.elements, cert.evidence,
     )
+
+
+def test_first_witness_is_the_certified_witness():
+    # find_witness certifies exactly what first_witness finds, on every
+    # colouring shape, step policy and threshold.
+    rng = random.Random(808)
+    mono = fam([1], [2])
+    found = 0
+    for trial in range(600):
+        m = rng.choice((1, 2))
+        n = rng.choice((None, 2, 3))
+        c = random_colouring(rng, rng.randint(1, 8), m, n, classes=rng.choice((2, 5)))
+        rain = random_rainbow_family(rng, max_size=2, max_deg=2, coeff_abs=2)
+        for policy in D_POLICIES:
+            for h in (0, 1):
+                args = (c, mono if trial % 3 else None, rain if trial % 3 != 1 else None, h, policy)
+                w = first_witness(*args)
+                cert = find_witness(*args)
+                assert (w is None) == (cert is None)
+                if cert is not None:
+                    found += 1
+                    assert w == cert.witness()
+    assert found > 1000
 
 
 def test_witness_outcome_survives_relabeling():
