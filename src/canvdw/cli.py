@@ -1,11 +1,13 @@
 """Command line front end.
 
 Exit status 0 means success with a result, 1 means a well-formed run with no
-result (no witness, no canonical number in range, certificate rejected), and
-2 means a usage or input error.  Output for a fixed input and flag set is
-byte-identical across runs.  The search runs on one thread; --threads is
-still accepted, and checked to be positive, so that existing command lines
-keep working, but it has no other effect.
+result (no witness, no canonical number in range or within the node budget,
+certificate rejected), and 2 means a usage or input error, or a search that
+hit its budget where a partial answer would mislead (number --naive,
+extremal).  Output for a fixed input and flag set is byte-identical across
+runs.  The search runs on one thread; --threads is still accepted, and
+checked to be positive, so that existing command lines keep working, but it
+has no other effect.
 """
 
 from __future__ import annotations
@@ -124,15 +126,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_number(args: argparse.Namespace) -> int:
     cfg = _search_config(args)
-    try:
-        engine = search.naive_canonical_number if args.naive else search.canonical_number
-        result = engine(cfg)
-    except search.EnumerationCapExceeded as e:
-        raise ValueError(str(e)) from None
+    engine = search.naive_canonical_number if args.naive else search.canonical_number
+    result = engine(cfg)
     report = search.run_report(cfg, result, timing=args.timing)
     _write_out(args.out, report)
     if result.canonical_number is None:
-        print(f"no canonical number within n_limit={cfg.n_limit}", file=sys.stderr)
+        # The pruned walk stops on the first node past its budget.
+        if cfg.node_budget is not None and result.nodes_expanded > cfg.node_budget:
+            print(f"node budget of {cfg.node_budget} ran out before a canonical number was found",
+                  file=sys.stderr)
+        else:
+            print(f"no canonical number within n_limit={cfg.n_limit}", file=sys.stderr)
         return 1
     print(result.canonical_number)
     return 0
@@ -253,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, search.EnumerationCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

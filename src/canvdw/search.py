@@ -32,7 +32,8 @@ NAIVE_ENUMERATION_CAP = 2_000_000
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """The naive engine refused to enumerate past its hard cap."""
+    """A search stopped at its budget before it could answer: the naive
+    engine's enumeration cap, or the node budget of an extremal search."""
 
 
 @dataclass(frozen=True)
@@ -247,13 +248,16 @@ def canonical_number(cfg: SearchConfig) -> SearchResult:
 
 def extremal_colourings(cfg: SearchConfig, length: int, limit: int | None = None) -> list[TypedColouring]:
     """Witness-free canonical colourings of the given length in
-    lexicographic order, up to limit."""
+    lexicographic order, up to limit.  Raises EnumerationCapExceeded if the
+    walk runs out of node budget first, since its list would be partial."""
     cfg.validate()
     if not 1 <= length <= cfg.n_limit:
         raise ValueError(f"length {length} outside 1..{cfg.n_limit}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    _, _, collected = _run_tree(cfg, length, collect_limit=limit, collect=True)
+    counts, _, collected = _run_tree(cfg, length, collect_limit=limit, collect=True)
+    if counts is None:
+        raise EnumerationCapExceeded(f"search exceeded its node budget of {cfg.node_budget}")
     return [TypedColouring.single(labels) for labels in collected]
 
 

@@ -28,8 +28,7 @@ POLICY_ANY = "any"
 D_POLICIES = (POLICY_POSITIVE, POLICY_NONZERO, POLICY_GT_H_FOR_RAINBOW, POLICY_ANY)
 
 
-@dataclass(frozen=True)
-class WitnessSet:
+class WitnessSet(NamedTuple):
     """A located witness: its kind, anchor, step, elements, and evidence
     (the constant coordinate for monochromatic witnesses, the shared final
     label for fully-rainbow ones, None for plain rainbow)."""
@@ -145,8 +144,7 @@ def is_monochromatic(colouring: TypedColouring, elems: tuple[int, ...]) -> int |
         raise ValueError("monochromatic check needs at least one element")
     rows = colouring.rows
     for j in range(colouring.m):
-        first = rows[elems[0] - 1][j]
-        if all(rows[e - 1][j] == first for e in elems):
+        if len({rows[e - 1][j] for e in elems}) == 1:
             return j + 1
     return None
 
@@ -177,11 +175,8 @@ def is_fully_rainbow(colouring: TypedColouring, elems: tuple[int, ...]) -> int |
     if not is_rainbow(colouring, elems):
         return None
     m = colouring.m
-    first = colouring.rows[elems[0] - 1][m]
-    for e in elems[1:]:
-        if colouring.rows[e - 1][m] != first:
-            return None
-    return first
+    finals = {colouring.rows[e - 1][m] for e in elems}
+    return finals.pop() if len(finals) == 1 else None
 
 
 def is_focused(elems: tuple[int, ...], focus: int, family: PolynomialFamily, d: int) -> bool:
@@ -229,11 +224,7 @@ def validate_collection(colouring: TypedColouring, coll: FocusedCollection) -> b
         if is_fully_rainbow(colouring, elems) is None:
             return False
         union.extend(elems)
-    if not union:
-        return True
-    if len(set(union)) != len(union):
-        return False
-    return is_rainbow(colouring, tuple(union))
+    return not union or is_rainbow(colouring, tuple(union))
 
 
 def step_admitted(kind: str, d: int, h: int, d_policy: str) -> bool:
@@ -314,11 +305,11 @@ def admitted_steps(
                 yield d, slots
 
 
-# Recently used plans, oldest first, bounded by their total probe count
-# rather than by entries: one plan at a long length holds hundreds of
-# thousands of probes.
+# Scan plans in insertion order, bounded by their total probe count rather
+# than by entries: one plan at a long length holds hundreds of thousands of
+# probes.
 _PLAN_CACHE_PROBES = 500_000
-_plans: dict[tuple, tuple[tuple[str, int, int, tuple[int, ...]], ...]] = {}
+_plans: dict[tuple, tuple[tuple[str, int, tuple[int, ...]], ...]] = {}
 
 
 def _scan_plan(
@@ -327,29 +318,26 @@ def _scan_plan(
     length: int,
     h: int,
     d_policy: str,
-) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
     # Every candidate witness inside [length], in first_witness's scan order:
-    # each admitted step expanded into its anchors, as (kind, a, d,
-    # elements) with kind KIND_MONO or KIND_RAINBOW, mono before rainbow at
-    # each (a, d).  The two probes at one (a, d) share their elements tuple
-    # when the families' offsets agree.
+    # each admitted step expanded into its anchors, as (kind, d, elements)
+    # with kind KIND_MONO or KIND_RAINBOW, mono before rainbow at each
+    # (a, d).  The anchor a is elements[0], since offsets start at 0.  The
+    # oldest-inserted plans are evicted to make room for a new one.
     key = (mono_family, rainbow_family, length, h, d_policy)
-    plan = _plans.pop(key, None)
+    plan = _plans.get(key)
     if plan is None:
-        probes = []
-        for d, slots in admitted_steps(*key):
-            for a in range(min(s[2] for s in slots), max(s[3] for s in slots) + 1):
-                last = elems = None
-                for kind, offsets, a_min, a_max in slots:
-                    if a_min <= a <= a_max:
-                        if offsets != last:
-                            last, elems = offsets, tuple(a + off for off in offsets)
-                        probes.append((kind, a, d, elems))
-        plan = tuple(probes)
+        plan = tuple(
+            (kind, d, tuple(a + off for off in offsets))
+            for d, slots in admitted_steps(*key)
+            for a in range(min(s[2] for s in slots), max(s[3] for s in slots) + 1)
+            for kind, offsets, a_min, a_max in slots
+            if a_min <= a <= a_max
+        )
         held = sum(map(len, _plans.values()))
         while _plans and held + len(plan) > _PLAN_CACHE_PROBES:
             held -= len(_plans.pop(next(iter(_plans))))
-    _plans[key] = plan
+        _plans[key] = plan
     return plan
 
 
@@ -393,17 +381,17 @@ def first_witness(
         raise ValueError(f"h must be non-negative, got {h}")
     plan = _scan_plan(mono_family, rainbow_family, colouring.length, h, d_policy)
     bounded = colouring.n is not None
-    for kind, a, d, elems in plan:
+    for kind, d, elems in plan:
         if kind == KIND_MONO:
             j = is_monochromatic(colouring, elems)
             if j is not None:
-                return WitnessSet(KIND_MONO, a, d, elems, j)
+                return WitnessSet(KIND_MONO, elems[0], d, elems, j)
         elif bounded:
             lab = is_fully_rainbow(colouring, elems)
             if lab is not None:
-                return WitnessSet(KIND_FULLY_RAINBOW, a, d, elems, lab)
+                return WitnessSet(KIND_FULLY_RAINBOW, elems[0], d, elems, lab)
         elif is_rainbow(colouring, elems):
-            return WitnessSet(KIND_RAINBOW, a, d, elems, None)
+            return WitnessSet(KIND_RAINBOW, elems[0], d, elems, None)
     return None
 
 
@@ -451,8 +439,7 @@ def verify_certificate(colouring: TypedColouring, cert: Certificate) -> VerifyRe
         j = cert.evidence
         if not _is_int(j) or not 1 <= j <= colouring.m:
             return VerifyResult(False, "evidence mismatch")
-        first = colouring.rows[expected[0] - 1][j - 1]
-        if any(colouring.rows[e - 1][j - 1] != first for e in expected):
+        if len({colouring.rows[e - 1][j - 1] for e in expected}) != 1:
             return VerifyResult(False, "predicate failed")
     elif cert.kind == KIND_RAINBOW:
         if cert.evidence is not None:

@@ -166,12 +166,18 @@ def test_number_budget_exit(files, capsys):
         "--node-budget", "10",
     )
     assert code == 1
+    assert err == "node budget of 10 ran out before a canonical number was found\n"
+    code, out, err = run(
+        capsys, "number", "--mono", mono, "--no-rainbow", "--max-classes", "2",
+        "--n-limit", "5",
+    )
+    assert (code, err) == (1, "no canonical number within n_limit=5\n")
     code, out, err = run(
         capsys, "number", "--mono", mono, "--no-rainbow", "--max-classes", "2",
         "--node-budget", "10", "--naive",
     )
     assert code == 2
-    assert "cap" in err
+    assert err == "error: naive engine exceeded its enumeration cap of 10\n"
 
 
 def test_extremal(files, capsys):
@@ -193,6 +199,12 @@ def test_extremal(files, capsys):
         "--at-length", "8", "--limit", "1",
     )
     assert (code, out) == (0, "0 0 1 1 0 0 1 1\n")
+    # A node budget that runs out is an error, not "no colourings".
+    code, out, err = run(
+        capsys, "extremal", "--mono", mono, "--no-rainbow", "--max-classes", "2",
+        "--n-limit", "8", "--at-length", "8", "--node-budget", "20",
+    )
+    assert (code, out, err) == (2, "", "error: search exceeded its node budget of 20\n")
 
 
 def test_hvalue_and_weight(files, capsys):

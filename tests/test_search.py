@@ -14,7 +14,7 @@ from canvdw.search import (
     naive_canonical_number,
     run_report,
 )
-from canvdw.witness import D_POLICIES, find_witness
+from canvdw.witness import D_POLICIES, VerifyResult, find_witness
 
 from _helpers import fam, random_rainbow_family
 
@@ -68,6 +68,13 @@ def test_extremal_colourings():
         extremal_colourings(W32, 99)
     with pytest.raises(ValueError):
         extremal_colourings(W32, 8, limit=0)
+    # A walk cut short by its node budget has no complete list to give; it
+    # must not answer [] as if no witness-free colouring existed.
+    with pytest.raises(EnumerationCapExceeded, match="node budget of 20"):
+        extremal_colourings(replace(W32, node_budget=20), 8)
+    with pytest.raises(EnumerationCapExceeded):
+        extremal_colourings(replace(W32, node_budget=20), 9)
+    assert extremal_colourings(replace(W32, node_budget=10_000), 8) == longest
 
 
 def test_quadratic_families():
@@ -141,6 +148,28 @@ def test_self_check_modes():
         )
         assert canonical_number(checked).canonical_number == canonical_number(cfg).canonical_number
         assert naive_canonical_number(checked).canonical_number == canonical_number(cfg).canonical_number
+
+
+def test_self_check_catches_a_lying_scanner_or_verifier(monkeypatch):
+    # Both engines route every colouring with a witness through one self
+    # check; a scanner that finds nothing there, or a verifier that rejects
+    # the certificate, must stop the run.
+    checked = replace(W32, self_check=True)
+    engines = (canonical_number, naive_canonical_number)
+    with monkeypatch.context() as patch:
+        patch.setattr(canvdw.search, "find_witness", lambda *args: None)
+        for engine in engines:
+            with pytest.raises(AssertionError, match="has no witness inside itself"):
+                engine(checked)
+        # Without self_check neither engine consults it.
+        assert [engine(W32).canonical_number for engine in engines] == [9, 9]
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            canvdw.search, "verify_certificate", lambda col, cert: VerifyResult(False, "lied")
+        )
+        for engine in engines:
+            with pytest.raises(AssertionError, match="failed: lied"):
+                engine(checked)
 
 
 def test_naive_engine_certifies_only_under_self_check(monkeypatch):

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 import canvdw.coloring
+import canvdw.witness
 from canvdw.coloring import TypedColouring, colouring_digest, enumerate_colourings, serialize
 from canvdw.witness import (
     KIND_FULLY_RAINBOW,
@@ -130,6 +131,15 @@ def test_validate_collection():
     # member not anchored at the focus
     off = FocusedCollection(2, coll.family, ((1, (2,)),))
     assert not validate_collection(c, off)
+    # overlapping members: x, 2x at steps 1 and 2 from focus 1 both hold
+    # position 3.  Each member is fully-rainbow and no label repeats across
+    # distinct positions, so only the distinct-elements rule rejects it.
+    rows = ((9, 1), (1, 1), (2, 1), (3, 1), (4, 1))
+    shared = TypedColouring(m=1, n=1, rows=rows)
+    ap = fam([1], [2], role="rainbow")
+    assert validate_collection(shared, FocusedCollection(1, ap, ((1, (2, 3)),)))
+    assert validate_collection(shared, FocusedCollection(1, ap, ((2, (3, 5)),)))
+    assert not validate_collection(shared, FocusedCollection(1, ap, ((1, (2, 3)), (2, (3, 5)))))
 
 
 def test_find_witness_rainbow_example():
@@ -271,6 +281,19 @@ def test_verify_certificate_rejections():
     wrong_label = dataclasses.replace(good, evidence=1)
     assert verify_certificate(labelled, wrong_label).reason == "evidence mismatch"
 
+    # each kind's own predicate and evidence rules
+    not_mono = Certificate(KIND_MONO, 1, 1, (1, 2), 1, fam([1]), colouring_digest(c), "nonzero", 0)
+    assert verify_certificate(c, not_mono).reason == "predicate failed"
+    assert verify_certificate(c, dataclasses.replace(cert, evidence=1)).reason == "evidence mismatch"
+    unbounded = dataclasses.replace(cert, kind=KIND_FULLY_RAINBOW, evidence=1)
+    assert verify_certificate(c, unbounded).reason == "predicate failed"
+    clash = TypedColouring(m=1, n=2, rows=((1, 1), (1, 1)))
+    not_rainbow = Certificate(
+        KIND_FULLY_RAINBOW, 1, 1, (1, 2), 1, fam([1], role="rainbow"), colouring_digest(clash),
+        "nonzero", 0,
+    )
+    assert verify_certificate(clash, not_rainbow).reason == "predicate failed"
+
     # Values equal to the right ints but not ints themselves would verify
     # and then fail Certificate.from_json; they are rejected here too.
     assert (cert.a, cert.d, cert.elements) == (1, 1, (1, 2))
@@ -388,6 +411,46 @@ def test_first_witness_is_the_certified_witness():
                     found += 1
                     assert w == cert.witness()
     assert found > 1000
+
+
+def test_plan_cache_evicts_oldest_inserted_plans_within_its_bound(monkeypatch):
+    # No benchmark workload fills the 500,000-probe plan cache, so shrink
+    # it to 1,000 probes and scan lengths 20-40, whose plans hold 90 to 800
+    # probes each.  The held probes stay within the bound, a hit does not
+    # reorder the cache, the oldest-inserted plans leave first, and every
+    # answer is the one a scan from an empty cache gives.
+    monkeypatch.setattr(canvdw.witness, "_PLAN_CACHE_PROBES", 1000)
+    plans: dict = {}
+    monkeypatch.setattr(canvdw.witness, "_plans", plans)
+    rng = random.Random(2718)
+    mono = fam([1], [2])
+    pairs = (
+        (mono, None, D_POLICIES),
+        (mono, fam([2], role="rainbow"), (POLICY_POSITIVE,)),
+        (None, fam([1], role="rainbow"), (POLICY_POSITIVE, POLICY_GT_H_FOR_RAINBOW)),
+    )
+    cases = []
+    for _ in range(400):
+        c = random_colouring(rng, rng.randint(20, 40), rng.choice((1, 2)), rng.choice((None, 2)))
+        mono_fam, rain_fam, policies = rng.choice(pairs)
+        cases.append((c, mono_fam, rain_fam, 0, rng.choice(policies)))
+    expected = []
+    for args in cases:
+        plans.clear()
+        expected.append(first_witness(*args))
+    plans.clear()
+    evicted = 0
+    for args, want in zip(cases, expected):
+        before = list(plans)
+        assert first_witness(*args) == want
+        after = list(plans)
+        if after != before:
+            kept, new = after[:-1], after[-1]
+            assert new not in before
+            assert kept == before[len(before) - len(kept):]
+            evicted += len(before) - len(kept)
+        assert sum(map(len, plans.values())) <= 1000
+    assert evicted > 50
 
 
 def test_witness_outcome_survives_relabeling():
