@@ -177,7 +177,7 @@ def enumerate_colourings(length: int, max_classes: int | None = None) -> Iterato
         c = new(TypedColouring)
         put(c, "m", 1)
         put(c, "n", None)
-        put(c, "rows", tuple((lab,) for lab in s))
+        put(c, "rows", tuple(zip(s)))
         put(c, "_digest", None)
         yield c
 

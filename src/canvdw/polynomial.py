@@ -68,27 +68,6 @@ class IntegralPolynomial:
         b = other.coeffs + (0,) * (n - len(other.coeffs))
         return IntegralPolynomial(tuple(x - y for x, y in zip(a, b)))
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs), 0, -1):
-            c = self.coeffs[k - 1]
-            if c == 0:
-                continue
-            var = "x" if k == 1 else f"x^{k}"
-            if c == 1:
-                term = var
-            elif c == -1:
-                term = "-" + var
-            else:
-                term = f"{c}{var}"
-            parts.append(term)
-        out = parts[0]
-        for t in parts[1:]:
-            out += "-" + t[1:] if t.startswith("-") else "+" + t
-        return out
-
 
 ROLE_MONO = "mono"
 ROLE_RAINBOW = "rainbow"
@@ -124,12 +103,6 @@ class PolynomialFamily:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __iter__(self):
-        return iter(self.polys)
 
     def nonzero_members(self) -> tuple[IntegralPolynomial, ...]:
         return tuple(p for p in self.polys if not p.is_zero())

@@ -24,8 +24,8 @@ from .witness import (
     POLICY_NONZERO,
     admitted_steps,
     find_witness,
-    first_witness,
     verify_certificate,
+    witness_scanner,
 )
 
 NAIVE_ENUMERATION_CAP = 2_000_000
@@ -277,13 +277,14 @@ def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
     def witness_free_count(length: int) -> int:
         nonlocal examined
         free = 0
+        scan = witness_scanner(cfg.mono_family, cfg.rainbow_family, length, cfg.h, cfg.d_policy)
         for col in enumerate_colourings(length, cfg.max_classes):
             examined += 1
             if examined > cap:
                 raise EnumerationCapExceeded(
                     f"naive engine exceeded its enumeration cap of {cap}"
                 )
-            if first_witness(col, cfg.mono_family, cfg.rainbow_family, cfg.h, cfg.d_policy) is None:
+            if scan(col) is None:
                 free += 1
             elif cfg.self_check:
                 _self_check(cfg, col)

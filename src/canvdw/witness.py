@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .coloring import TypedColouring, colouring_digest
 from .polynomial import PolynomialFamily, ROLE_RAINBOW
@@ -307,9 +308,12 @@ def admitted_steps(
 
 # Scan plans in insertion order, bounded by their total probe count rather
 # than by entries: one plan at a long length holds hundreds of thousands of
-# probes.
+# probes.  Plans of one family pair at different lengths hold mostly the
+# same probes, so each probe is interned in _probes, which is emptied
+# whenever the cache evicts and so never holds more than the bound.
 _PLAN_CACHE_PROBES = 500_000
-_plans: dict[tuple, tuple[tuple[str, int, tuple[int, ...]], ...]] = {}
+_plans: dict[tuple, tuple[tuple, ...]] = {}
+_probes: dict[tuple, tuple] = {}
 
 
 def _scan_plan(
@@ -318,25 +322,36 @@ def _scan_plan(
     length: int,
     h: int,
     d_policy: str,
-) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
-    # Every candidate witness inside [length], in first_witness's scan order:
-    # each admitted step expanded into its anchors, as (kind, d, elements)
-    # with kind KIND_MONO or KIND_RAINBOW, mono before rainbow at each
-    # (a, d).  The anchor a is elements[0], since offsets start at 0.  The
-    # oldest-inserted plans are evicted to make room for a new one.
+) -> tuple[tuple, ...]:
+    # Every candidate witness inside [length], in the scan order: each
+    # admitted step expanded into its anchors, mono before rainbow at each
+    # (a, d), as a probe (is_mono, d, elements, pick) where pick is an
+    # itemgetter of the elements' zero-based positions.  Elements number at
+    # least two, so pick always returns a tuple.  The anchor a is
+    # elements[0], since offsets start at 0.  The oldest-inserted plans are
+    # evicted to make room for a new one.
     key = (mono_family, rainbow_family, length, h, d_policy)
     plan = _plans.get(key)
     if plan is None:
-        plan = tuple(
-            (kind, d, tuple(a + off for off in offsets))
-            for d, slots in admitted_steps(*key)
-            for a in range(min(s[2] for s in slots), max(s[3] for s in slots) + 1)
-            for kind, offsets, a_min, a_max in slots
-            if a_min <= a <= a_max
-        )
+        probes = _probes
+        entries = []
+        for d, slots in admitted_steps(*key):
+            for a in range(min(s[2] for s in slots), max(s[3] for s in slots) + 1):
+                for kind, offsets, a_min, a_max in slots:
+                    if a_min <= a <= a_max:
+                        elems = tuple(a + off for off in offsets)
+                        probe_key = (kind == KIND_MONO, d, elems)
+                        probe = probes.get(probe_key)
+                        if probe is None:
+                            probe = probes[probe_key] = probe_key + (
+                                itemgetter(*(e - 1 for e in elems)),
+                            )
+                        entries.append(probe)
+        plan = tuple(entries)
         held = sum(map(len, _plans.values()))
         while _plans and held + len(plan) > _PLAN_CACHE_PROBES:
             held -= len(_plans.pop(next(iter(_plans))))
+            probes.clear()
         _plans[key] = plan
     return plan
 
@@ -359,6 +374,61 @@ def d_max(family: PolynomialFamily, interval_len: int, h: int) -> int | None:
     return max((d for d, _ in steps if d > h), default=None)
 
 
+def witness_scanner(
+    mono_family: PolynomialFamily | None,
+    rainbow_family: PolynomialFamily | None,
+    length: int,
+    h: int = 0,
+    d_policy: str = POLICY_NONZERO,
+) -> Callable[[TypedColouring], WitnessSet | None]:
+    """first_witness for colourings of one length, as scan(colouring).
+
+    The policy and h are checked and the scan plan is looked up once, here;
+    scan raises ValueError on a colouring of another length.
+    """
+    if d_policy not in D_POLICIES:
+        raise ValueError(f"unknown d policy {d_policy!r}")
+    if h < 0:
+        raise ValueError(f"h must be non-negative, got {h}")
+    plan = _scan_plan(mono_family, rainbow_family, length, h, d_policy)
+
+    def scan(colouring: TypedColouring) -> WitnessSet | None:
+        rows = colouring.rows
+        if len(rows) != length:
+            raise ValueError(f"scanner for length {length} got a colouring of length {len(rows)}")
+        m = colouring.m
+        bounded = colouring.n is not None
+        # One tuple of labels per coordinate; at length 0 zip yields none.
+        cols = tuple(zip(*rows)) or ((),) * (m + bounded)
+        mono_cols = tuple(enumerate(cols[:m], start=1))
+        final = cols[m] if bounded else None
+        # With one unbounded coordinate the elements are rainbow iff their
+        # labels are distinct; otherwise a label repeated inside one element
+        # is not a clash, so is_rainbow decides.
+        rain_col = cols[0] if m == 1 else None
+        for is_mono, d, elems, pick in plan:
+            if is_mono:
+                for j, col in mono_cols:
+                    if len(set(pick(col))) == 1:
+                        return WitnessSet(KIND_MONO, elems[0], d, elems, j)
+                continue
+            if bounded:
+                finals = set(pick(final))
+                if len(finals) != 1:
+                    continue
+            if rain_col is not None:
+                if len(set(pick(rain_col))) != len(elems):
+                    continue
+            elif not is_rainbow(colouring, elems):
+                continue
+            if bounded:
+                return WitnessSet(KIND_FULLY_RAINBOW, elems[0], d, elems, finals.pop())
+            return WitnessSet(KIND_RAINBOW, elems[0], d, elems, None)
+        return None
+
+    return scan
+
+
 def first_witness(
     colouring: TypedColouring,
     mono_family: PolynomialFamily | None,
@@ -375,24 +445,7 @@ def first_witness(
     with a bounded final coordinate the rainbow family is held to the
     fully-rainbow predicate.
     """
-    if d_policy not in D_POLICIES:
-        raise ValueError(f"unknown d policy {d_policy!r}")
-    if h < 0:
-        raise ValueError(f"h must be non-negative, got {h}")
-    plan = _scan_plan(mono_family, rainbow_family, colouring.length, h, d_policy)
-    bounded = colouring.n is not None
-    for kind, d, elems in plan:
-        if kind == KIND_MONO:
-            j = is_monochromatic(colouring, elems)
-            if j is not None:
-                return WitnessSet(KIND_MONO, elems[0], d, elems, j)
-        elif bounded:
-            lab = is_fully_rainbow(colouring, elems)
-            if lab is not None:
-                return WitnessSet(KIND_FULLY_RAINBOW, elems[0], d, elems, lab)
-        elif is_rainbow(colouring, elems):
-            return WitnessSet(KIND_RAINBOW, elems[0], d, elems, None)
-    return None
+    return witness_scanner(mono_family, rainbow_family, colouring.length, h, d_policy)(colouring)
 
 
 def find_witness(

@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import random
 
-from canvdw import FocusedCollection, TypedColouring
+from canvdw import (
+    D_POLICIES,
+    FocusedCollection,
+    TypedColouring,
+    WitnessSet,
+    admitted_steps,
+    is_fully_rainbow,
+    is_monochromatic,
+    is_rainbow,
+)
 from canvdw.polynomial import IntegralPolynomial, PolynomialFamily
+from canvdw.witness import KIND_FULLY_RAINBOW, KIND_MONO, KIND_RAINBOW
 
 
 def poly(*coeffs: int) -> IntegralPolynomial:
@@ -39,6 +49,41 @@ def brute_force_shift_threshold(family: PolynomialFamily, cap: int = 100) -> int
                 if shift_difference(q, h) == target:
                     worst = max(worst, h)
     return worst
+
+
+def reference_first_witness(
+    colouring: TypedColouring,
+    mono_family: PolynomialFamily | None,
+    rainbow_family: PolynomialFamily | None = None,
+    h: int = 0,
+    d_policy: str = "nonzero",
+) -> WitnessSet | None:
+    """first_witness's scan written out from public pieces: the step scan
+    expanded into anchors, mono before rainbow at each (a, d), each
+    candidate judged by the public predicates on the colouring's rows.
+    Shares no plan cache, probe or column picker with the library scan."""
+    if d_policy not in D_POLICIES:
+        raise ValueError(f"unknown d policy {d_policy!r}")
+    if h < 0:
+        raise ValueError(f"h must be non-negative, got {h}")
+    bounded = colouring.n is not None
+    for d, slots in admitted_steps(mono_family, rainbow_family, colouring.length, h, d_policy):
+        for a in range(min(s[2] for s in slots), max(s[3] for s in slots) + 1):
+            for kind, offsets, a_min, a_max in slots:
+                if not a_min <= a <= a_max:
+                    continue
+                elems = tuple(a + off for off in offsets)
+                if kind == KIND_MONO:
+                    j = is_monochromatic(colouring, elems)
+                    if j is not None:
+                        return WitnessSet(KIND_MONO, a, d, elems, j)
+                elif bounded:
+                    lab = is_fully_rainbow(colouring, elems)
+                    if lab is not None:
+                        return WitnessSet(KIND_FULLY_RAINBOW, a, d, elems, lab)
+                elif is_rainbow(colouring, elems):
+                    return WitnessSet(KIND_RAINBOW, a, d, elems, None)
+    return None
 
 
 def bell_sequence(upto: int) -> list[int]:

@@ -123,6 +123,29 @@ def test_n_start_skips_short_lengths():
     assert res.extremal_count_at_nminus1 == naive.extremal_count_at_nminus1 == 3
 
 
+def test_naive_engine_scans_each_length_through_one_scanner(monkeypatch):
+    # One scanner per length examined, and one more for the layer below
+    # n_start that feeds the extremal count; never one per colouring.
+    lengths = []
+    scanner = canvdw.search.witness_scanner
+
+    def counting_scanner(mono, rainbow, length, h, d_policy):
+        lengths.append(length)
+        return scanner(mono, rainbow, length, h, d_policy)
+
+    monkeypatch.setattr(canvdw.search, "witness_scanner", counting_scanner)
+    for cfg, expected in (
+        (W32, list(range(1, 10))),
+        (replace(W32, n_start=4), [3] + list(range(4, 10))),
+        (replace(W32, n_start=4, n_limit=7), [3, 4, 5, 6, 7]),
+        (replace(LINEAR, self_check=True), [1, 2]),
+    ):
+        lengths.clear()
+        res = naive_canonical_number(cfg)
+        assert lengths == expected
+        assert res.nodes_expanded > len(lengths)
+
+
 def test_budget_aborts_pruned_engine():
     cfg = SearchConfig(mono_family=fam([1], [2]), max_classes=2, node_budget=10)
     res = canonical_number(cfg)

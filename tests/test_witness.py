@@ -32,6 +32,7 @@ from canvdw.witness import (
     step_admitted,
     validate_collection,
     verify_certificate,
+    witness_scanner,
 )
 
 from _helpers import (
@@ -41,6 +42,7 @@ from _helpers import (
     merge_two_classes,
     random_colouring,
     random_rainbow_family,
+    reference_first_witness,
     relabel,
 )
 
@@ -413,17 +415,73 @@ def test_first_witness_is_the_certified_witness():
     assert found > 1000
 
 
+def test_first_witness_matches_the_reference_scan():
+    # The column-picking scan against the scan written out from the public
+    # predicates, on every coordinate shape from no labels to three
+    # unbounded coordinates, lengths from 0, every step policy and h, and
+    # mono families with zero or repeated members.
+    rng = random.Random(20040776)
+    monos = (None, fam([1], [2]), fam([]), fam([], [1]), fam([1], [1]), fam([0, 1]), fam([-1], [2]))
+    kinds = set()
+    shapes = set()
+    for trial in range(3000):
+        m = trial % 4
+        n = (None, 2, 3)[trial // 4 % 3]
+        length = 0 if trial % 13 == 0 else rng.randint(1, 12)
+        c = random_colouring(rng, length, m, n, classes=rng.choice((2, 3, 6)))
+        policy = D_POLICIES[trial // 12 % 4]
+        h = trial // 48 % 3
+        rain = random_rainbow_family(rng, max_size=2, max_deg=2, coeff_abs=2) if trial % 5 else None
+        args = (c, rng.choice(monos), rain, h, policy)
+        w = first_witness(*args)
+        assert w == reference_first_witness(*args), args
+        kinds.add(None if w is None else w.kind)
+        shapes.add((m, n, length == 0))
+    assert kinds == {None, KIND_MONO, KIND_RAINBOW, KIND_FULLY_RAINBOW}
+    assert len(shapes) == 24
+
+
+def test_witness_scanner_checks_its_inputs(monkeypatch):
+    # Policy and h are refused before any plan is built, and a scanner only
+    # takes colourings of its own length.
+    plans: dict = {}
+    monkeypatch.setattr(canvdw.witness, "_plans", plans)
+    mono = fam([1], [2])
+    with pytest.raises(ValueError, match="unknown d policy"):
+        witness_scanner(mono, None, 5, 0, "sideways")
+    with pytest.raises(ValueError, match="h must be non-negative"):
+        witness_scanner(mono, None, 5, -1)
+    assert plans == {}
+    scan = witness_scanner(mono, None, 5)
+    assert len(plans) == 1
+    for length in (0, 4, 6):
+        with pytest.raises(ValueError, match=f"length 5 got a colouring of length {length}"):
+            scan(TypedColouring.single((0,) * length))
+    assert scan(TypedColouring.single((0, 1, 1, 0, 0))) is None
+    assert scan(TypedColouring.single((0, 0, 0, 1, 1))) == (KIND_MONO, 1, 1, (1, 2, 3), 1)
+
+
 def test_plan_cache_evicts_oldest_inserted_plans_within_its_bound(monkeypatch):
     # No benchmark workload fills the 500,000-probe plan cache, so shrink
     # it to 1,000 probes and scan lengths 20-40, whose plans hold 90 to 800
     # probes each.  The held probes stay within the bound, a hit does not
-    # reorder the cache, the oldest-inserted plans leave first, and every
-    # answer is the one a scan from an empty cache gives.
-    monkeypatch.setattr(canvdw.witness, "_PLAN_CACHE_PROBES", 1000)
+    # reorder the cache, the oldest-inserted plans leave first, an eviction
+    # empties the probe table, and every answer is the one a scan from
+    # empty caches gives.
     plans: dict = {}
+    probes: dict = {}
     monkeypatch.setattr(canvdw.witness, "_plans", plans)
+    monkeypatch.setattr(canvdw.witness, "_probes", probes)
     rng = random.Random(2718)
     mono = fam([1], [2])
+    # Plans of one family pair at two lengths share every probe of the
+    # shorter one, as the same objects.
+    witness_scanner(mono, fam([1], role="rainbow"), 20)
+    witness_scanner(mono, fam([1], role="rainbow"), 24)
+    short, long = plans.values()
+    assert {id(p) for p in short} < {id(p) for p in long}
+    assert len(probes) == len(long)
+    monkeypatch.setattr(canvdw.witness, "_PLAN_CACHE_PROBES", 1000)
     pairs = (
         (mono, None, D_POLICIES),
         (mono, fam([2], role="rainbow"), (POLICY_POSITIVE,)),
@@ -437,8 +495,10 @@ def test_plan_cache_evicts_oldest_inserted_plans_within_its_bound(monkeypatch):
     expected = []
     for args in cases:
         plans.clear()
+        probes.clear()
         expected.append(first_witness(*args))
     plans.clear()
+    probes.clear()
     evicted = 0
     for args, want in zip(cases, expected):
         before = list(plans)
@@ -448,8 +508,12 @@ def test_plan_cache_evicts_oldest_inserted_plans_within_its_bound(monkeypatch):
             kept, new = after[:-1], after[-1]
             assert new not in before
             assert kept == before[len(before) - len(kept):]
+            if len(kept) < len(before):
+                # An eviction empties the probe table.
+                assert probes == {}
             evicted += len(before) - len(kept)
         assert sum(map(len, plans.values())) <= 1000
+        assert len(probes) <= 1000
     assert evicted > 50
 
 
