@@ -180,12 +180,10 @@ def _shift_collision(q: IntegralPolynomial, target: IntegralPolynomial) -> int |
     # Unique h >= 1 with shift_difference(q, h) == target, if any.  Matching
     # leading terms forces the degree and leading coefficient to agree and
     # pins h through the next coefficient: n*q_n*h + q_{n-1} = t_{n-1}.
+    # Callers exclude q == target below degree 2, and at degree 0 or 1 the
+    # leading terms alone would force it, so n >= 2 past this check.
     n = q.degree
     if n != target.degree or q.leading_coefficient != target.leading_coefficient:
-        return None
-    if n <= 1:
-        # Linear polynomials are shift-invariant: a collision would need
-        # q == target, which callers exclude.
         return None
     num = target.coeffs[n - 2] - q.coeffs[n - 2]
     den = n * q.coeffs[n - 1]

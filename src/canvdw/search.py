@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .coloring import TypedColouring, enumerate_colourings
 from .polynomial import PolynomialFamily
@@ -112,46 +113,40 @@ def _run_tree(
     position in per-depth stacks rather than on the call stack, so depth
     is not limited by recursion.
 
-    The probes of depth t are the witnesses inside [t+1] whose largest
-    element is t+1, each as the bitmask of its positions before t.  The
-    walk reads the step scan's slots once, at depth_cap, and builds a
-    depth's probes the first time it descends there: each slot gives at
-    most one, at anchor t+1 - max(offsets) if that is at least a_min.
-    Bit i of masks[c] is set while prefix position i has class c.  Child
-    label v completes a mono probe pm iff masks[v] & pm == pm (so an empty
-    pm, from a zero member, repeated members or d = 0, always blocks).  On
-    entering a depth the walk keeps only the rainbow probes whose earlier
-    positions carry pairwise distinct labels, once per parent; v completes
-    one of those iff masks[v] & pm == 0.  Returns (per-depth counts or None
-    if the budget ran out, nodes expanded, collected complete colourings in
-    lexicographic order).
+    A probe is a witness whose largest element is the newest position, as
+    the bitmask of its other elements' distances back from that position.
+    Its shape is the same at every depth, so the walk builds one probe set,
+    from the step scan's slots at depth_cap.  Position i is bit
+    depth_cap-1 - i of masks[c] while it has class c, so at depth t,
+    mv = masks[v] >> (depth_cap-1 - t) has bit k set iff the position k
+    back has label v, and no bit past t.  Child label v completes a mono
+    probe pm iff mv & pm == pm: a probe reaching before position 0 has a
+    bit mv lacks, and an empty pm, from a zero member, repeated members or
+    d = 0, always blocks.  On entering a depth the walk keeps only the
+    rainbow probes that fit and whose earlier positions carry pairwise
+    distinct labels, once per parent; v completes one of those iff
+    mv & pm == 0.  Returns (per-depth counts or None if the budget ran
+    out, nodes expanded, collected complete colourings in lexicographic
+    order).
     """
-    # Each slot as (kind, distinct offsets of the other elements from the
-    # largest one in increasing order, first depth at which its probe fits).
-    slots = []
+    # Probes de-duplicated in step-scan order; equal positions at one depth
+    # are equal distances.  A rainbow probe keeps a picker of the labels at
+    # its distances, after the -1 of the unset newest position.
+    mono: dict[int, None] = {}
+    rain: dict[int, itemgetter] = {}
     steps = admitted_steps(cfg.mono_family, cfg.rainbow_family, depth_cap, cfg.h, cfg.d_policy)
     for _, step in steps:
-        for kind, offsets, a_min, _ in step:
-            top = max(offsets)
-            slots.append((kind, tuple(sorted({off - top for off in offsets} - {0})), a_min + top - 1))
-
-    def probes(t: int) -> tuple:
-        mono: dict[int, None] = {}
-        rain: dict[int, tuple[int, ...]] = {}
-        for kind, shifts, first in slots:
-            if t < first:
-                continue
-            earlier = tuple(t + s for s in shifts)
-            mask = sum(1 << i for i in earlier)
+        for kind, offsets, _, _ in step:
+            dists = {max(offsets) - off for off in offsets} - {0}
+            mask = sum(1 << k for k in dists)
             if kind == KIND_MONO:
                 mono[mask] = None
             else:
-                rain[mask] = earlier
-        return tuple(mono), tuple(rain.items())
-
-    # plans[t] is (mono masks, rainbow (mask, positions) pairs), de-duplicated
-    # in step-scan order; None until the walk first reaches depth t.
-    plans: list = [probes(0)] + [None] * (depth_cap - 1)
+                rain[mask] = itemgetter(0, *dists)
+    mono_t = tuple(mono)
+    # Admitted rainbow steps never repeat an offset, so a rainbow probe's
+    # picks are pairwise distinct iff they number `distinct`.
+    distinct = len(cfg.rainbow_family.polys) + 1 if rain else 0
 
     # A prefix using `full` classes may not open a fresh one (-1: no cap).
     full = -1 if cfg.max_classes is None else cfg.max_classes
@@ -167,8 +162,8 @@ def _run_tree(
     used = [0] * depth_cap
     masks = [0] * depth_cap
     live: list[list[int]] = [[]] * depth_cap
-    live[0] = [pm for pm, _ in plans[0][1]]
-    mono_t, rain_t = plans[0][0], live[0]
+    rain_t = live[0]
+    top = depth_cap - 1
     nodes = 0
     depth = 0
     while True:
@@ -178,14 +173,14 @@ def _run_tree(
             if depth == 0:
                 break
             depth -= 1
-            masks[labels[depth]] ^= 1 << depth
-            mono_t, rain_t = plans[depth][0], live[depth]
+            masks[labels[depth]] ^= 1 << (top - depth)
+            rain_t = live[depth]
             continue
         labels[depth] = v
         nodes += 1
         if nodes > budget:
             return None, nodes, []
-        mv = masks[v]
+        mv = masks[v] >> (top - depth)
         blocked = False
         for pm in mono_t:
             if mv & pm == pm:
@@ -207,16 +202,16 @@ def _run_tree(
                 if collect_limit is not None and len(collected) >= collect_limit:
                     break
             continue
-        masks[v] |= 1 << depth
+        masks[v] |= 1 << (top - depth)
         depth += 1
         labels[depth] = -1
         used[depth] = u + 1 if v == u else u
-        if plans[depth] is None:
-            plans[depth] = probes(depth)
-        mono_t = plans[depth][0]
-        rain_t = live[depth] = [
-            pm for pm, idx in plans[depth][1] if len({labels[i] for i in idx}) == len(idx)
-        ]
+        if rain:
+            back = labels[depth::-1]
+            fits = 2 << depth
+            rain_t = live[depth] = [
+                pm for pm, pick in rain.items() if pm < fits and len(set(pick(back))) == distinct
+            ]
     return counts, nodes, collected
 
 

@@ -272,6 +272,16 @@ def test_malformed_inputs_carry_positions(files, capsys):
     code, out, err = run(capsys, "witness", "--colouring", bad_col, "--mono", mono)
     assert code == 2
     assert f"{bad_col}:1:" in err
+    for name, text, line in (
+        ("token.txt", "m=1 k=2 N=1\n0\n", 1),  # unknown header token
+        ("nolength.txt", "m=1\n0\n", 1),  # header without N=
+        ("negative.txt", "m=1 N=2\n0\n-1\n", 3),  # negative label
+        ("negm.txt", "m=-1 N=0\n", 1),  # negative m
+    ):
+        path = files(name, text)
+        code, out, err = run(capsys, "witness", "--colouring", path, "--mono", mono)
+        assert code == 2
+        assert f"{path}:{line}:" in err
     bad_fam = files("bad.json", '{"polys": [[1],\n ["x"]]}')
     col = files("col.txt", "1 2\n")
     code, out, err = run(capsys, "witness", "--colouring", col, "--mono", bad_fam)
@@ -280,6 +290,12 @@ def test_malformed_inputs_carry_positions(files, capsys):
     missing = str(files("dir.json", "x")) + ".does-not-exist"
     code, out, err = run(capsys, "witness", "--colouring", col, "--mono", missing)
     assert code == 2
+    code, out, err = run(capsys, "verify", "--colouring", col, "--cert", missing)
+    assert code == 2
+    listed = files("list.json", "[[1], [2]]")
+    code, out, err = run(capsys, "witness", "--colouring", col, "--mono", listed)
+    assert code == 2
+    assert "JSON object" in err
     # nesting past the recursion limit is malformed input, not a crash
     nested = files("nested.json", "[" * 200_000)
     for argv in (

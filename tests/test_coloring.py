@@ -130,6 +130,8 @@ def test_bell_number():
     expected = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
     assert [bell_number(i) for i in range(11)] == expected
     assert bell_sequence(10) == expected
+    with pytest.raises(ValueError):
+        bell_number(-1)
 
 
 def test_block_fingerprint_example():
@@ -141,6 +143,8 @@ def test_block_fingerprint_example():
         block_fingerprint(c, 3, 2)
     with pytest.raises(ValueError):
         block_fingerprint(c, 0, 2)
+    with pytest.raises(ValueError):
+        block_fingerprint(c, 1, 0)
 
 
 def test_block_fingerprint_heeds_final_coordinate():
@@ -180,6 +184,8 @@ def test_block_coloring_example():
     assert derived.rows == ((1, 2), (2, 1))
     with pytest.raises(ValueError):
         block_coloring(c, 3)
+    with pytest.raises(ValueError):
+        block_coloring(c, 0)
 
 
 def test_block_coloring_fingerprint_coordinate():
@@ -199,6 +205,9 @@ def test_fingerprint_count_bound():
     assert fingerprint_count_bound(0, 3, 4) == 3**4
     assert fingerprint_count_bound(1, 2, 2) == 8
     assert fingerprint_count_bound(2, 2, 3) == 2**3 * bell_number(3) ** 2
+    for args in ((-1, 2, 2), (1, 0, 2), (1, 2, -1)):
+        with pytest.raises(ValueError):
+            fingerprint_count_bound(*args)
 
 
 def test_fingerprint_bound_attained_for_one_plus_one():
@@ -269,6 +278,16 @@ def test_typed_colouring_validation():
         TypedColouring(m=1, n=0, rows=((1,),))  # n present but not positive
     with pytest.raises(ValueError):
         TypedColouring(m=1, n=None, rows=((1,), (1, 2)))  # ragged rows
+    with pytest.raises(ValueError):
+        TypedColouring(m=-1, n=None, rows=())  # negative m
+    for bad in (-1, True, "1"):
+        with pytest.raises(ValueError):
+            TypedColouring(m=1, n=None, rows=((bad,),))  # unbounded label not a natural
+    unbounded = TypedColouring.single((1, 2))
+    with pytest.raises(ValueError):
+        unbounded.final_label(1)
+    with pytest.raises(ValueError):
+        unbounded.final_coordinate()
 
 
 def test_coarsening_helper_never_splits_classes():

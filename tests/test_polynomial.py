@@ -174,6 +174,8 @@ def test_bstar_family_errors():
         bstar_family(fam([1], [2]), 0, 1)  # mono role rejected
     with pytest.raises(ValueError):
         bstar_family(fam([1], [0, 1], role="rainbow"), -2, 1)  # would add a d = -1 shift
+    with pytest.raises(ValueError):
+        bstar_family(fam(role="rainbow"), 0, 1)  # empty family
 
 
 def test_bstar_members_are_shifted_differences():

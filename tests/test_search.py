@@ -247,9 +247,9 @@ def test_unfound_number_is_reported_as_exhausted():
 
 
 def test_search_cost_does_not_grow_with_n_limit():
-    # W(3;2) dies at depth 9.  The walk builds a depth's probes when it
-    # first reaches that depth, so an n_limit far past the answer costs
-    # about what the answer does.
+    # W(3;2) dies at depth 9.  The walk builds one probe set for every
+    # depth, each probe as wide as its reach back, so an n_limit far past
+    # the answer costs only the total width of those masks.
     cfg = SearchConfig(mono_family=fam([1], [2]), max_classes=2, n_limit=1000)
     tracemalloc.start()
     try:
@@ -261,6 +261,21 @@ def test_search_cost_does_not_grow_with_n_limit():
     assert (res.canonical_number, res.nodes_expanded) == (9, 79)
     assert found == []
     assert peak < 1 << 20
+
+
+def test_deep_walk_memory_is_linear_in_depth():
+    # One class leaves every rainbow probe dead, so the walk goes down a
+    # single path to n_limit.  Its probes are the same at every depth, so
+    # memory grows with n_limit, not with its square.
+    cfg = SearchConfig(mono_family=None, rainbow_family=fam([1], role="rainbow"), max_classes=1, n_limit=1000)
+    tracemalloc.start()
+    try:
+        res = canonical_number(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.canonical_number, res.nodes_expanded) == (None, 1000)
+    assert peak < 16 << 20
 
 
 def test_run_report_shape():
@@ -297,10 +312,11 @@ def test_config_validation():
 
 
 def test_engines_agree_on_random_families():
-    # The pruned engine builds each depth's probes from the step scan and
-    # checks only the newest position; the naive engine scans every whole
-    # colouring.  Agreement under every policy and h checks those probes
-    # and the prune on families beyond the fixed grids.
+    # The pruned engine builds its probes once, as distances back from the
+    # newest position, and checks only that position; the naive engine
+    # scans every whole colouring.  Agreement under every policy and h
+    # checks those probes, repeated offsets included, and the prune on
+    # families beyond the fixed grids.
     rng = random.Random(20200416)
     for _ in range(10):
         rainbow = random_rainbow_family(rng, max_size=2, max_deg=2, coeff_abs=3)

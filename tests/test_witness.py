@@ -120,6 +120,8 @@ def test_collection_norm_requires_fully_rainbow_members():
     with pytest.raises(ValueError):
         collection_norm(c, coll)
     assert not validate_collection(c, coll)
+    with pytest.raises(ValueError):
+        collection_norm(TypedColouring.single((9, 1, 2)), coll)  # no final coordinate
 
 
 def test_validate_collection():
@@ -197,6 +199,8 @@ def test_find_witness_policies():
     assert find_witness(TypedColouring.single((1, 2)), None, fam([1], role="rainbow"), h=3, d_policy=POLICY_GT_H_FOR_RAINBOW) is None
     with pytest.raises(ValueError):
         find_witness(c, fam([1]), d_policy="sideways")
+    with pytest.raises(ValueError):
+        step_admitted(KIND_MONO, 1, 0, "sideways")
 
 
 def test_find_witness_bounded_colourings_use_fully_rainbow():
