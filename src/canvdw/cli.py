@@ -37,10 +37,6 @@ def _write_out(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _label_line(col: coloring.TypedColouring) -> str:
-    return " ".join(map(str, col.coordinate(1)))
-
-
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--d-policy",
@@ -145,7 +141,7 @@ def _cmd_number(args: argparse.Namespace) -> int:
 def _cmd_extremal(args: argparse.Namespace) -> int:
     cfg = _search_config(args)
     found = search.extremal_colourings(cfg, args.at_length, args.limit)
-    text = "".join(_label_line(col) + "\n" for col in found)
+    text = "".join(" ".join(map(str, col.coordinate(1))) + "\n" for col in found)
     sys.stdout.write(text)
     _write_out(args.out, text)
     return 0 if found else 1
@@ -185,9 +181,9 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be positive, got {args.limit}")
-    cols = coloring.enumerate_colourings(args.length, args.max_classes)
-    for col in itertools.islice(cols, args.limit):
-        print(_label_line(col))
+    strings = coloring.restricted_growth_strings(args.length, args.max_classes)
+    for labels in itertools.islice(strings, args.limit):
+        print(" ".join(map(str, labels)))
     return 0
 
 

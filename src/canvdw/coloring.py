@@ -138,12 +138,19 @@ def extend(prefix: Sequence[int], max_classes: int | None = None) -> Iterator[tu
         yield prefix + (v,)
 
 
-def _rgs_strings(length: int, max_classes: int | None) -> Iterator[tuple[int, ...]]:
-    # Lexicographic enumeration of restricted-growth strings, without
-    # recursion.  used[i] is the number of classes among labels[:i]; the
-    # next string bumps the rightmost position that can still grow (to an
-    # existing class, or to a fresh one while the palette cap allows) and
-    # resets every later position to class 0.
+def restricted_growth_strings(length: int, max_classes: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Restricted-growth strings of the given length with at most
+    max_classes classes, in lexicographic order: one per single-coordinate
+    colouring of {1, ..., length} up to palette renaming, Bell(length) of
+    them without a cap."""
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
+    if max_classes is not None and max_classes < 1:
+        raise ValueError(f"max_classes must be positive, got {max_classes}")
+    # Enumeration without recursion.  used[i] is the number of classes among
+    # labels[:i]; the next string bumps the rightmost position that can
+    # still grow (to an existing class, or to a fresh one while the palette
+    # cap allows) and resets every later position to class 0.
     cap = length if max_classes is None else max_classes
     labels = [0] * length
     used = [0] + [1] * length
@@ -160,26 +167,8 @@ def _rgs_strings(length: int, max_classes: int | None) -> Iterator[tuple[int, ..
 
 
 def enumerate_colourings(length: int, max_classes: int | None = None) -> Iterator[TypedColouring]:
-    """All single-coordinate colourings of {1, ..., length}, one canonical
-    representative per palette-renaming class, in lexicographic order.
-
-    Without a palette cap there are Bell(length) of them.
-    """
-    if length < 0:
-        raise ValueError(f"length must be non-negative, got {length}")
-    if max_classes is not None and max_classes < 1:
-        raise ValueError(f"max_classes must be positive, got {max_classes}")
-    # TypedColouring.single without __post_init__: restricted-growth labels
-    # are non-negative ints by construction.  The fields are set in the
-    # generated __init__'s order, so instance dicts stay key-sharing.
-    new, put = object.__new__, object.__setattr__
-    for s in _rgs_strings(length, max_classes):
-        c = new(TypedColouring)
-        put(c, "m", 1)
-        put(c, "n", None)
-        put(c, "rows", tuple(zip(s)))
-        put(c, "_digest", None)
-        yield c
+    """The colourings labelled by restricted_growth_strings, in its order."""
+    return map(TypedColouring.single, restricted_growth_strings(length, max_classes))
 
 
 def block_fingerprint(colouring: TypedColouring, block: int, block_len: int) -> EquivalenceFingerprint:

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .coloring import TypedColouring, enumerate_colourings
+from .coloring import TypedColouring, restricted_growth_strings
 from .polynomial import PolynomialFamily
 from .witness import (
     D_POLICIES,
@@ -43,7 +43,7 @@ class SearchConfig:
 
     self_check re-verifies every prune against the full witness scanner and
     round-trips every witness through its certificate; it never changes
-    results.
+    results.  A config checks itself when built, raising ValueError.
     """
 
     mono_family: PolynomialFamily | None
@@ -56,7 +56,7 @@ class SearchConfig:
     node_budget: int | None = None
     self_check: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.d_policy not in D_POLICIES:
             raise ValueError(f"unknown d policy {self.d_policy!r}")
         if self.n_start < 1 or self.n_limit < self.n_start:
@@ -224,7 +224,6 @@ def canonical_number(cfg: SearchConfig) -> SearchResult:
     colourings of length t are exactly the surviving prefixes of length t,
     so one tree walk settles every length at once.
     """
-    cfg.validate()
     t0 = time.perf_counter()
     counts, nodes, _ = _run_tree(cfg, cfg.n_limit)
     wall = time.perf_counter() - t0
@@ -245,7 +244,6 @@ def extremal_colourings(cfg: SearchConfig, length: int, limit: int | None = None
     """Witness-free canonical colourings of the given length in
     lexicographic order, up to limit.  Raises EnumerationCapExceeded if the
     walk runs out of node budget first, since its list would be partial."""
-    cfg.validate()
     if not 1 <= length <= cfg.n_limit:
         raise ValueError(f"length {length} outside 1..{cfg.n_limit}")
     if limit is not None and limit < 1:
@@ -259,12 +257,12 @@ def extremal_colourings(cfg: SearchConfig, length: int, limit: int | None = None
 def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
     """Independent oracle for canonical_number by brute force.
 
-    Enumerates every canonical colouring of every length and runs the full
-    witness scanner on each; no pruning, no sharing of work between lengths.
+    Enumerates every canonical colouring of every length, as its
+    restricted-growth string, and runs the full witness scanner on each; no
+    pruning, no sharing of work between lengths.
     Refuses to enumerate more than node_budget colourings (or a built-in cap
     when no budget is set).
     """
-    cfg.validate()
     t0 = time.perf_counter()
     cap = cfg.node_budget if cfg.node_budget is not None else NAIVE_ENUMERATION_CAP
     examined = 0
@@ -273,16 +271,16 @@ def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
         nonlocal examined
         free = 0
         scan = witness_scanner(cfg.mono_family, cfg.rainbow_family, length, cfg.h, cfg.d_policy)
-        for col in enumerate_colourings(length, cfg.max_classes):
+        for labels in restricted_growth_strings(length, cfg.max_classes):
             examined += 1
             if examined > cap:
                 raise EnumerationCapExceeded(
                     f"naive engine exceeded its enumeration cap of {cap}"
                 )
-            if scan(col) is None:
+            if scan(labels) is None:
                 free += 1
             elif cfg.self_check:
-                _self_check(cfg, col)
+                _self_check(cfg, TypedColouring.single(labels))
         return free
 
     prev = 1 if cfg.n_start == 1 else witness_free_count(cfg.n_start - 1)

@@ -380,11 +380,13 @@ def witness_scanner(
     length: int,
     h: int = 0,
     d_policy: str = POLICY_NONZERO,
-) -> Callable[[TypedColouring], WitnessSet | None]:
+) -> Callable[[TypedColouring | tuple[int, ...]], WitnessSet | None]:
     """first_witness for colourings of one length, as scan(colouring).
 
-    The policy and h are checked and the scan plan is looked up once, here;
-    scan raises ValueError on a colouring of another length.
+    scan also takes a plain tuple of labels, read as the colouring with that
+    one unbounded coordinate and no bounded one.  The policy and h are
+    checked and the scan plan is looked up once, here; scan raises
+    ValueError on a colouring of another length.
     """
     if d_policy not in D_POLICIES:
         raise ValueError(f"unknown d policy {d_policy!r}")
@@ -392,14 +394,17 @@ def witness_scanner(
         raise ValueError(f"h must be non-negative, got {h}")
     plan = _scan_plan(mono_family, rainbow_family, length, h, d_policy)
 
-    def scan(colouring: TypedColouring) -> WitnessSet | None:
-        rows = colouring.rows
-        if len(rows) != length:
-            raise ValueError(f"scanner for length {length} got a colouring of length {len(rows)}")
-        m = colouring.m
-        bounded = colouring.n is not None
-        # One tuple of labels per coordinate; at length 0 zip yields none.
-        cols = tuple(zip(*rows)) or ((),) * (m + bounded)
+    def scan(colouring: TypedColouring | tuple[int, ...]) -> WitnessSet | None:
+        if isinstance(colouring, tuple):
+            # The labels are already the one coordinate's column.
+            size, m, bounded, cols = len(colouring), 1, False, (colouring,)
+        else:
+            rows = colouring.rows
+            size, m, bounded = len(rows), colouring.m, colouring.n is not None
+            # One tuple of labels per coordinate; at length 0 zip yields none.
+            cols = tuple(zip(*rows)) or ((),) * (m + bounded)
+        if size != length:
+            raise ValueError(f"scanner for length {length} got a colouring of length {size}")
         mono_cols = tuple(enumerate(cols[:m], start=1))
         final = cols[m] if bounded else None
         # With one unbounded coordinate the elements are rainbow iff their
@@ -478,15 +483,16 @@ def verify_certificate(colouring: TypedColouring, cert: Certificate) -> VerifyRe
         return VerifyResult(False, "kind mismatch")
     if cert.digest != colouring_digest(colouring):
         return VerifyResult(False, "digest mismatch")
-    if not (_is_int(cert.a) and _is_int(cert.d)):
+    if not (_is_int(cert.a) and _is_int(cert.d) and isinstance(cert.family, PolynomialFamily)):
         return VerifyResult(False, "element mismatch")
     expected = (cert.a,) + tuple(cert.a + p.evaluate(cert.d) for p in cert.family.polys)
-    if tuple(cert.elements) != expected or not all(map(_is_int, cert.elements)):
+    elements = cert.elements if isinstance(cert.elements, (tuple, list)) else ()
+    if tuple(elements) != expected or not all(map(_is_int, elements)):
         return VerifyResult(False, "element mismatch")
     if any(not 1 <= e <= colouring.length for e in expected):
         return VerifyResult(False, "out of range")
-    h_ok = _is_int(cert.h) and cert.h >= 0
-    if not (h_ok and step_admitted(cert.kind, cert.d, cert.h, cert.d_policy)):
+    known = _is_int(cert.h) and cert.h >= 0 and cert.d_policy in D_POLICIES
+    if not (known and step_admitted(cert.kind, cert.d, cert.h, cert.d_policy)):
         return VerifyResult(False, "step not admitted")
     if cert.kind == KIND_MONO:
         j = cert.evidence

@@ -18,6 +18,7 @@ from canvdw.coloring import (
     interval_equivalent,
     parse_colouring,
     restricted_growth,
+    restricted_growth_strings,
     serialize,
 )
 
@@ -78,42 +79,55 @@ def test_canonical_forms_agree_iff_partitions_agree():
         assert (canonicalize(c) == canonicalize(other)) == (parts(c) == parts(other))
 
 
+# Both enumerators, each read as its sequence of label strings.
+ENUMERATORS = (
+    restricted_growth_strings,
+    lambda *args: (c.coordinate(1) for c in enumerate_colourings(*args)),
+)
+
+
 def test_enumerate_counts_are_bell_numbers():
     bells = bell_sequence(10)
-    for length in range(0, 8):
-        forms = list(enumerate_colourings(length))
-        assert len(forms) == bells[length]
-        assert len(set(forms)) == len(forms)
-        for c in forms:
-            string = tuple(r[0] for r in c.rows)
-            assert string == restricted_growth(string)
+    for strings in ENUMERATORS:
+        for length in range(0, 8):
+            forms = list(strings(length))
+            assert len(forms) == bells[length]
+            assert len(set(forms)) == len(forms)
+            for string in forms:
+                assert string == restricted_growth(string)
 
 
 def test_enumerate_respects_class_cap():
-    forms = list(enumerate_colourings(4, max_classes=2))
-    assert len(forms) == 8
-    assert all(all(r[0] <= 1 for r in c.rows) for c in forms)
-    # cap of 1 leaves only the constant colouring, at any length
-    assert len(list(enumerate_colourings(5, max_classes=1))) == 1
-    assert len(list(enumerate_colourings(3000, max_classes=1))) == 1
-    with pytest.raises(ValueError):
-        list(enumerate_colourings(3, max_classes=0))
+    for strings in ENUMERATORS:
+        forms = list(strings(4, 2))
+        assert len(forms) == 8
+        assert all(all(lab <= 1 for lab in string) for string in forms)
+        # cap of 1 leaves only the constant colouring, at any length
+        assert len(list(strings(5, 1))) == 1
+        assert len(list(strings(3000, 1))) == 1
+        with pytest.raises(ValueError, match="max_classes must be positive"):
+            list(strings(3, 0))
+        with pytest.raises(ValueError, match="length must be non-negative"):
+            list(strings(-1))
 
 
 def test_enumerate_is_lexicographic():
-    strings = [tuple(r[0] for r in c.rows) for c in enumerate_colourings(4)]
-    assert strings == sorted(strings)
-    assert strings[0] == (0, 0, 0, 0)
-    assert strings[-1] == (0, 1, 2, 3)
-    long = [c.coordinate(1) for c in itertools.islice(enumerate_colourings(3000, 2), 3)]
-    assert long == [(0,) * 3000, (0,) * 2999 + (1,), (0,) * 2998 + (1, 0)]
+    for strings in ENUMERATORS:
+        forms = list(strings(4))
+        assert forms == sorted(forms)
+        assert forms[0] == (0, 0, 0, 0)
+        assert forms[-1] == (0, 1, 2, 3)
+        long = list(itertools.islice(strings(3000, 2), 3))
+        assert long == [(0,) * 3000, (0,) * 2999 + (1,), (0,) * 2998 + (1, 0)]
 
 
 def test_enumerated_colourings_match_validated_ones():
     for length in range(9):
         for cap in (None, 1, 2, 3):
-            for c in enumerate_colourings(length, cap):
-                labels = tuple(row[0] for row in c.rows)
+            pairs = itertools.zip_longest(
+                enumerate_colourings(length, cap), restricted_growth_strings(length, cap)
+            )
+            for c, labels in pairs:
                 built = TypedColouring(1, None, tuple((lab,) for lab in labels))
                 assert c == built
                 assert (hash(c), repr(c)) == (hash(built), repr(built))

@@ -294,21 +294,23 @@ def test_run_report_shape():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SearchConfig(mono_family=None, rainbow_family=None).validate()
+        SearchConfig(mono_family=None, rainbow_family=None)
     with pytest.raises(ValueError):
-        SearchConfig(mono_family=fam(), rainbow_family=fam(role="rainbow")).validate()
+        SearchConfig(mono_family=fam(), rainbow_family=fam(role="rainbow"))
     with pytest.raises(ValueError):
-        SearchConfig(mono_family=fam([1]), n_start=0).validate()
+        SearchConfig(mono_family=fam([1]), n_start=0)
     with pytest.raises(ValueError):
-        SearchConfig(mono_family=fam([1]), n_start=5, n_limit=4).validate()
+        SearchConfig(mono_family=fam([1]), n_start=5, n_limit=4)
     with pytest.raises(ValueError):
-        SearchConfig(mono_family=fam([1]), max_classes=0).validate()
+        SearchConfig(mono_family=fam([1]), max_classes=0)
     with pytest.raises(ValueError):
-        SearchConfig(mono_family=fam([1]), node_budget=0).validate()
+        SearchConfig(mono_family=fam([1]), node_budget=0)
     with pytest.raises(ValueError):
-        SearchConfig(mono_family=fam([1]), h=-1).validate()
+        SearchConfig(mono_family=fam([1]), h=-1)
     with pytest.raises(ValueError):
-        SearchConfig(mono_family=fam([1]), d_policy="upward").validate()
+        SearchConfig(mono_family=fam([1]), d_policy="upward")
+    with pytest.raises(ValueError, match="h must be non-negative"):
+        replace(SearchConfig(mono_family=fam([1])), h=-1)
 
 
 def test_engines_agree_on_random_families():

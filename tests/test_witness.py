@@ -337,6 +337,13 @@ def test_verify_certificate_rejections():
     assert verify_certificate(five, low).reason == "step not admitted"
     assert verify_certificate(five, dataclasses.replace(low, h=0)).ok
 
+    # Fields no JSON certificate can hold are rejected, not raised on.
+    sideways = dataclasses.replace(mono_cert, d_policy="sideways")
+    assert verify_certificate(pair, sideways).reason == "step not admitted"
+    for name in ("family", "elements"):
+        odd = dataclasses.replace(mono_cert, **{name: None})
+        assert verify_certificate(pair, odd).reason == "element mismatch", name
+
 
 def test_verify_result_is_truthy():
     c = TypedColouring.single((1, 1))
@@ -423,7 +430,8 @@ def test_first_witness_matches_the_reference_scan():
     # The column-picking scan against the scan written out from the public
     # predicates, on every coordinate shape from no labels to three
     # unbounded coordinates, lengths from 0, every step policy and h, and
-    # mono families with zero or repeated members.
+    # mono families with zero or repeated members.  On single-coordinate
+    # unbounded colourings the scanner reads the plain label tuple the same.
     rng = random.Random(20040776)
     monos = (None, fam([1], [2]), fam([]), fam([], [1]), fam([1], [1]), fam([0, 1]), fam([-1], [2]))
     kinds = set()
@@ -439,6 +447,10 @@ def test_first_witness_matches_the_reference_scan():
         args = (c, rng.choice(monos), rain, h, policy)
         w = first_witness(*args)
         assert w == reference_first_witness(*args), args
+        if (m, n) == (1, None):
+            scan = witness_scanner(args[1], rain, length, h, policy)
+            labels = c.coordinate(1)
+            assert scan(labels) == scan(TypedColouring.single(labels)) == w, args
         kinds.add(None if w is None else w.kind)
         shapes.add((m, n, length == 0))
     assert kinds == {None, KIND_MONO, KIND_RAINBOW, KIND_FULLY_RAINBOW}
@@ -447,7 +459,7 @@ def test_first_witness_matches_the_reference_scan():
 
 def test_witness_scanner_checks_its_inputs(monkeypatch):
     # Policy and h are refused before any plan is built, and a scanner only
-    # takes colourings of its own length.
+    # takes colourings, or plain label tuples, of its own length.
     plans: dict = {}
     monkeypatch.setattr(canvdw.witness, "_plans", plans)
     mono = fam([1], [2])
@@ -461,8 +473,12 @@ def test_witness_scanner_checks_its_inputs(monkeypatch):
     for length in (0, 4, 6):
         with pytest.raises(ValueError, match=f"length 5 got a colouring of length {length}"):
             scan(TypedColouring.single((0,) * length))
+        with pytest.raises(ValueError, match=f"length 5 got a colouring of length {length}"):
+            scan((0,) * length)
     assert scan(TypedColouring.single((0, 1, 1, 0, 0))) is None
     assert scan(TypedColouring.single((0, 0, 0, 1, 1))) == (KIND_MONO, 1, 1, (1, 2, 3), 1)
+    assert scan((0, 1, 1, 0, 0)) is None
+    assert scan((0, 0, 0, 1, 1)) == (KIND_MONO, 1, 1, (1, 2, 3), 1)
 
 
 def test_plan_cache_evicts_oldest_inserted_plans_within_its_bound(monkeypatch):
