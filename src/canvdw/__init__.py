@@ -4,7 +4,6 @@ typed interval colourings built from integral polynomial families."""
 from .coloring import (
     CanonicalForm,
     ColouringFormatError,
-    EquivalenceFingerprint,
     TypedColouring,
     bell_number,
     block_coloring,
@@ -12,7 +11,6 @@ from .coloring import (
     canonicalize,
     colouring_digest,
     enumerate_colourings,
-    extend,
     fingerprint_count_bound,
     interval_equivalent,
     load_colouring,

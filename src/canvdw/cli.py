@@ -257,6 +257,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -98,16 +98,6 @@ class CanonicalForm:
     final: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class EquivalenceFingerprint:
-    """What survives of a block when palettes are renamed per coordinate:
-    the verbatim final-coordinate tuple plus one restricted-growth string per
-    unbounded coordinate."""
-
-    final: tuple[int, ...]
-    strings: tuple[tuple[int, ...], ...]
-
-
 def restricted_growth(labels: Sequence[int]) -> tuple[int, ...]:
     """Relabel by first appearance: new classes get 0, 1, 2, ... in order."""
     seen: dict[int, int] = {}
@@ -126,16 +116,6 @@ def canonicalize(colouring: TypedColouring) -> CanonicalForm:
     )
     final = colouring.final_coordinate() if colouring.n is not None else None
     return CanonicalForm(strings, final)
-
-
-def extend(prefix: Sequence[int], max_classes: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Children of a restricted-growth prefix: each existing class plus, if
-    the palette cap allows, one fresh class."""
-    prefix = tuple(prefix)
-    used = (max(prefix) + 1) if prefix else 0
-    cap = used + 1 if (max_classes is None or used < max_classes) else used
-    for v in range(cap):
-        yield prefix + (v,)
 
 
 def restricted_growth_strings(length: int, max_classes: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -171,20 +151,17 @@ def enumerate_colourings(length: int, max_classes: int | None = None) -> Iterato
     return map(TypedColouring.single, restricted_growth_strings(length, max_classes))
 
 
-def block_fingerprint(colouring: TypedColouring, block: int, block_len: int) -> EquivalenceFingerprint:
+def block_fingerprint(colouring: TypedColouring, block: int, block_len: int) -> CanonicalForm:
     """Fingerprint of the block of block_len consecutive elements starting at
-    position (block-1)*block_len + 1.  Blocks are 1-based."""
+    position (block-1)*block_len + 1: the block's canonical form.  Blocks
+    are 1-based."""
     if block_len < 1:
         raise ValueError(f"block length must be positive, got {block_len}")
     if block < 1 or block * block_len > colouring.length:
         raise ValueError(f"block {block} of length {block_len} outside the interval")
     start = (block - 1) * block_len
     rows = colouring.rows[start : start + block_len]
-    final = tuple(r[colouring.m] for r in rows) if colouring.n is not None else ()
-    strings = tuple(
-        restricted_growth([r[k] for r in rows]) for k in range(colouring.m)
-    )
-    return EquivalenceFingerprint(final, strings)
+    return canonicalize(TypedColouring(colouring.m, colouring.n, rows))
 
 
 def interval_equivalent(colouring: TypedColouring, s: int, t: int, block_len: int) -> bool:
@@ -208,7 +185,7 @@ def block_coloring(colouring: TypedColouring, block_len: int, with_fingerprint: 
             f"block length {block_len} does not divide interval length {colouring.length}"
         )
     nblocks = colouring.length // block_len
-    interned: dict[EquivalenceFingerprint, int] = {}
+    interned: dict[CanonicalForm, int] = {}
     out_rows = []
     for s in range(1, nblocks + 1):
         start = (s - 1) * block_len
@@ -282,7 +259,8 @@ def parse_colouring(text: str) -> TypedColouring:
     single-coordinate colouring and multiple lines as one element per line
     with m inferred from the first line.
     """
-    numbered = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)]
+    raw = text.splitlines()
+    numbered = [(i, ln.strip()) for i, ln in enumerate(raw, start=1)]
     numbered = [(i, ln) for i, ln in numbered if ln]
     if not numbered:
         raise ColouringFormatError("empty colouring document")
@@ -301,8 +279,9 @@ def parse_colouring(text: str) -> TypedColouring:
         m, n, length = fields["m"], fields.get("n"), fields["N"]
         lines = numbered[1:]
         if not lines and (m, n) == (0, None):
-            # Rows without labels serialize as the empty lines dropped above.
-            lines = [(first_no, "")] * length
+            # Rows without labels serialize as the empty lines dropped above;
+            # count those, never more than the document holds.
+            lines = [(first_no, "")] * min(length, len(raw) - first_no)
         if len(lines) != length:
             raise ColouringFormatError(
                 f"expected {length} element lines, found {len(lines)}", first_no

@@ -41,8 +41,8 @@ class EnumerationCapExceeded(RuntimeError):
 class SearchConfig:
     """Everything a search run depends on.
 
-    self_check re-verifies every prune against the full witness scanner and
-    round-trips every witness through its certificate; it never changes
+    self_check re-verifies every prune against the full witness scanner,
+    which must find a witness whose certificate verifies; it never changes
     results.  A config checks itself when built, raising ValueError.
     """
 
@@ -104,7 +104,7 @@ def _self_check(cfg: SearchConfig, colouring: TypedColouring) -> None:
 
 
 def _run_tree(
-    cfg: SearchConfig, depth_cap: int, collect_limit: int | None = None, collect: bool = False
+    cfg: SearchConfig, depth_cap: int, keep: float = 0
 ) -> tuple[list[int] | None, int, list[tuple[int, ...]]]:
     """Walk the witness-free prefix tree to depth_cap.
 
@@ -126,8 +126,8 @@ def _run_tree(
     rainbow probes that fit and whose earlier positions carry pairwise
     distinct labels, once per parent; v completes one of those iff
     mv & pm == 0.  Returns (per-depth counts or None if the budget ran
-    out, nodes expanded, collected complete colourings in lexicographic
-    order).
+    out, nodes expanded, the first keep complete colourings in
+    lexicographic order).  The walk stops once it has kept keep of them.
     """
     # Probes de-duplicated in step-scan order; equal positions at one depth
     # are equal distances.  A rainbow probe keeps a picker of the labels at
@@ -197,9 +197,9 @@ def _run_tree(
             continue
         counts[depth + 1] += 1
         if depth + 1 == depth_cap:
-            if collect:
+            if keep:
                 collected.append(tuple(labels))
-                if collect_limit is not None and len(collected) >= collect_limit:
+                if len(collected) == keep:
                     break
             continue
         masks[v] |= 1 << (top - depth)
@@ -248,7 +248,7 @@ def extremal_colourings(cfg: SearchConfig, length: int, limit: int | None = None
         raise ValueError(f"length {length} outside 1..{cfg.n_limit}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    counts, _, collected = _run_tree(cfg, length, collect_limit=limit, collect=True)
+    counts, _, collected = _run_tree(cfg, length, math.inf if limit is None else limit)
     if counts is None:
         raise EnumerationCapExceeded(f"search exceeded its node budget of {cfg.node_budget}")
     return [TypedColouring.single(labels) for labels in collected]

@@ -561,45 +561,38 @@ def find_focused_collection(
     cut = m + 1
     budget = node_budget
     weights = {c: 0 for c in range(1, colouring.n + 1)}
-    chosen: list[tuple[int, tuple[int, ...]]] = []
+    labels = [{lab for e in elems for lab in rows[e - 1][:m]} for _, elems in candidates]
     used_vals: set[int] = set()
     used_labs: set[int] = set()
 
-    def labels_of(elems: tuple[int, ...]) -> set[int]:
-        return {lab for e in elems for lab in rows[e - 1][:m]}
-
-    # taken[i] records whether candidates[i] is in chosen; the decisions on
-    # candidates[:len(taken)] form the current node.  Each candidate is
-    # included first, when compatible, then excluded, one budget unit per
-    # decision, as an include/exclude backtracking search would.
-    taken: list[bool] = []
+    # The current node has decided candidates[:i] and included those whose
+    # indices are on the stack.  Each candidate is included first, when
+    # compatible, then excluded, one budget unit per decision and per
+    # back-up, as an include/exclude backtracking search would.
+    stack: list[int] = []
+    i = 0
     while budget > 0:
         if sum(w for w in weights.values() if w <= cut) == target_norm:
-            return FocusedCollection(focus, family, tuple(chosen))
-        idx = len(taken)
-        if idx < len(candidates):
-            d, elems = candidates[idx]
-            labs = labels_of(elems)
+            return FocusedCollection(focus, family, tuple(candidates[j] for j in stack))
+        if i < len(candidates):
+            elems = candidates[i][1]
             budget -= 1
-            if used_vals.isdisjoint(elems) and used_labs.isdisjoint(labs):
+            if used_vals.isdisjoint(elems) and used_labs.isdisjoint(labels[i]):
                 weights[rows[elems[0] - 1][m]] += 1
-                chosen.append((d, elems))
                 used_vals.update(elems)
-                used_labs.update(labs)
-                taken.append(True)
-            else:
-                taken.append(False)
+                used_labs.update(labels[i])
+                stack.append(i)
+            i += 1
             continue
         # All candidates decided: back up to the latest inclusion and take
         # its exclude branch instead.
-        while taken and not taken[-1]:
-            taken.pop()
-        if not taken:
+        if not stack:
             return None
-        taken[-1] = False
-        _, elems = chosen.pop()
+        i = stack.pop()
+        elems = candidates[i][1]
         weights[rows[elems[0] - 1][m]] -= 1
         used_vals.difference_update(elems)
-        used_labs.difference_update(labels_of(elems))
+        used_labs.difference_update(labels[i])
+        i += 1
         budget -= 1
     return None

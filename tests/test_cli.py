@@ -277,6 +277,7 @@ def test_malformed_inputs_carry_positions(files, capsys):
         ("nolength.txt", "m=1\n0\n", 1),  # header without N=
         ("negative.txt", "m=1 N=2\n0\n-1\n", 3),  # negative label
         ("negm.txt", "m=-1 N=0\n", 1),  # negative m
+        ("huge0.txt", "m=0 N=1000000000000000000\n", 1),  # header without its body
     ):
         path = files(name, text)
         code, out, err = run(capsys, "witness", "--colouring", path, "--mono", mono)

@@ -13,7 +13,6 @@ from canvdw.coloring import (
     canonicalize,
     colouring_digest,
     enumerate_colourings,
-    extend,
     fingerprint_count_bound,
     interval_equivalent,
     parse_colouring,
@@ -134,12 +133,6 @@ def test_enumerated_colourings_match_validated_ones():
                 assert colouring_digest(c) == colouring_digest(built)
 
 
-def test_extend():
-    assert list(extend((0, 1, 0))) == [(0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2)]
-    assert list(extend((0, 1, 0), max_classes=2)) == [(0, 1, 0, 0), (0, 1, 0, 1)]
-    assert list(extend(())) == [(0,)]
-
-
 def test_bell_number():
     expected = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
     assert [bell_number(i) for i in range(11)] == expected
@@ -152,7 +145,7 @@ def test_block_fingerprint_example():
     c = TypedColouring.single((1, 2, 2, 1))
     assert block_fingerprint(c, 1, 2) == block_fingerprint(c, 2, 2)
     assert block_fingerprint(c, 1, 2).strings == ((0, 1),)
-    assert block_fingerprint(c, 1, 2).final == ()
+    assert block_fingerprint(c, 1, 2).final is None
     with pytest.raises(ValueError):
         block_fingerprint(c, 3, 2)
     with pytest.raises(ValueError):

@@ -601,6 +601,16 @@ def test_find_focused_collection_budget_and_errors():
         find_focused_collection(distinct, B, 1, target_norm=-1)
     with pytest.raises(ValueError):
         find_focused_collection(distinct, B, 4, h=-3, target_norm=1)
+    # Reaching norm 3 needs backtracking: the search first includes
+    # (1, (2,)), whose label 1 blocks (4, (5,)), and must back up out of it.
+    # Including, excluding and backing up each cost one unit: 15 fall short.
+    tangled = TypedColouring(1, 2, ((0, 1), (1, 1), (2, 1), (4, 1), (1, 2)))
+    assert find_focused_collection(tangled, B, 1, target_norm=3, node_budget=15) is None
+    assert find_focused_collection(tangled, B, 1, target_norm=3, node_budget=16).members == (
+        (2, (3,)),
+        (3, (4,)),
+        (4, (5,)),
+    )
     # Every candidate is compatible and the norm never reaches 5 (one final
     # label, weight past m+1), so the search includes all 2,999 candidates
     # in a row before backing up: far deeper than the recursion limit.
