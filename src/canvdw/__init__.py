@@ -23,7 +23,6 @@ from .polynomial import (
     FamilyFormatError,
     IntegralPolynomial,
     PolynomialFamily,
-    WeightVector,
     bstar_family,
     dump_family,
     h_value,

@@ -2,9 +2,11 @@
 
 Exit status 0 means success with a result, 1 means a well-formed run with no
 result (no witness, no canonical number in range or within the node budget,
-certificate rejected), and 2 means a usage or input error, or a search that
-hit its budget where a partial answer would mislead (number --naive,
-extremal).  Output for a fixed input and flag set is byte-identical across
+certificate rejected), and 2 means a usage or input error (an unreadable
+input, an unwritable --out path, a request too large to hold in memory), or a
+search that hit its budget where a partial answer would mislead (number
+--naive, extremal).  A run whose output pipe closes early stops silently with
+status 141.  Output for a fixed input and flag set is byte-identical across
 runs.  The search runs on one thread; --threads is still accepted, and
 checked to be positive, so that existing command lines keep working, but it
 has no other effect.
@@ -14,21 +16,20 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
 from . import coloring, polynomial, search, witness
 
 
 def _load(load, path: str, *args):
-    # Read an input file with load (a colouring or family loader), turning
-    # its format and OS errors into ValueError for main's "error:" line.
+    # Read an input file with load (a colouring or family loader), naming
+    # the file in its format errors.
     try:
         return load(path, *args)
     except (coloring.ColouringFormatError, polynomial.FamilyFormatError) as e:
         where = f"{path}:{e.line}" if e.line is not None else path
         raise ValueError(f"{where}: {e.message}") from None
-    except OSError as e:
-        raise ValueError(str(e)) from None
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -107,11 +108,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     col = _load(coloring.load_colouring, args.colouring)
-    try:
-        with open(args.cert, encoding="utf-8") as fh:
-            cert = witness.Certificate.from_json(fh.read())
-    except OSError as e:
-        raise ValueError(str(e)) from None
+    with open(args.cert, encoding="utf-8") as fh:
+        cert = witness.Certificate.from_json(fh.read())
     verdict = witness.verify_certificate(col, cert)
     if verdict.ok:
         print("certificate accepted")
@@ -155,8 +153,7 @@ def _cmd_hvalue(args: argparse.Namespace) -> int:
 
 def _cmd_weight(args: argparse.Namespace) -> int:
     fam = _load(polynomial.load_family, args.family, polynomial.ROLE_MONO)
-    w = polynomial.weight_vector(fam)
-    print(" ".join(str(c) for c in w.counts))
+    print(" ".join(map(str, polynomial.weight_vector(fam))))
     return 0
 
 
@@ -253,7 +250,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, search.EnumerationCapExceeded) as e:
+    except BrokenPipeError:
+        # The reader of stdout went away (`| head`).  Stop quietly, and point
+        # stdout at devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except MemoryError:
+        print("error: not enough memory for this request", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, OverflowError, search.EnumerationCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

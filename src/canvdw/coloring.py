@@ -63,15 +63,6 @@ class TypedColouring:
     def length(self) -> int:
         return len(self.rows)
 
-    def label(self, pos: int, coord: int) -> int:
-        """Label of element pos in unbounded coordinate coord (both 1-based)."""
-        return self.rows[pos - 1][coord - 1]
-
-    def final_label(self, pos: int) -> int:
-        if self.n is None:
-            raise ValueError("colouring has no bounded final coordinate")
-        return self.rows[pos - 1][self.m]
-
     def coordinate(self, coord: int) -> tuple[int, ...]:
         return tuple(r[coord - 1] for r in self.rows)
 
@@ -277,6 +268,10 @@ def parse_colouring(text: str) -> TypedColouring:
         if "m" not in fields or "N" not in fields:
             raise ColouringFormatError("header must declare m= and N=", first_no)
         m, n, length = fields["m"], fields.get("n"), fields["N"]
+        if m < 0:
+            raise ColouringFormatError(f"m must be non-negative, got {m}", first_no)
+        if n is not None and n < 1:
+            raise ColouringFormatError(f"n must be positive when present, got {n}", first_no)
         lines = numbered[1:]
         if not lines and (m, n) == (0, None):
             # Rows without labels serialize as the empty lines dropped above;
@@ -304,10 +299,7 @@ def parse_colouring(text: str) -> TypedColouring:
         if n is not None and not 1 <= vals[m] <= n:
             raise ColouringFormatError(f"final label {vals[m]} outside 1..{n}", lineno)
         rows.append(vals)
-    try:
-        return TypedColouring(m, n, tuple(rows))
-    except ValueError as e:
-        raise ColouringFormatError(str(e), first_no) from None
+    return TypedColouring(m, n, tuple(rows))
 
 
 def load_colouring(path: str) -> TypedColouring:

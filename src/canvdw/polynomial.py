@@ -115,20 +115,6 @@ class PolynomialFamily:
         return cls(tuple(IntegralPolynomial(tuple(cs)) for cs in lists), role)
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-degree counts of distinct leading coefficients of a family.
-
-    ``counts[i]`` is the number of distinct leading coefficients among the
-    degree-(i+1) members; the length equals the maximum degree present.
-    """
-
-    counts: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(self.counts))
-
-
 def shift_difference(p: IntegralPolynomial, h: int) -> IntegralPolynomial:
     """The polynomial x -> p(x+h) - p(h).
 
@@ -144,9 +130,11 @@ def shift_difference(p: IntegralPolynomial, h: int) -> IntegralPolynomial:
     return IntegralPolynomial(tuple(out))
 
 
-def weight_vector(family: PolynomialFamily) -> WeightVector:
+def weight_vector(family: PolynomialFamily) -> tuple[int, ...]:
     """Weight of a family: distinct leading-coefficient counts by degree.
 
+    Entry i is the number of distinct leading coefficients among the
+    degree-(i+1) members; the length equals the maximum degree present.
     Zero polynomials are ignored; a family with no nonzero member has no
     weight and raises ValueError.
     """
@@ -157,16 +145,15 @@ def weight_vector(family: PolynomialFamily) -> WeightVector:
     leads: list[set[int]] = [set() for _ in range(top)]
     for p in members:
         leads[p.degree - 1].add(p.leading_coefficient)
-    return WeightVector(tuple(len(s) for s in leads))
+    return tuple(len(s) for s in leads)
 
 
-def weight_less(w1: WeightVector, w2: WeightVector) -> bool:
+def weight_less(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """Strict order on weight vectors, compared from the top degree down.
 
-    w1 < w2 iff at the highest degree where the counts differ (after zero
-    padding to a common length) w1 has the smaller count.
+    a < b iff at the highest degree where the counts differ (after zero
+    padding to a common length) a has the smaller count.
     """
-    a, b = w1.counts, w2.counts
     size = max(len(a), len(b))
     a = a + (0,) * (size - len(a))
     b = b + (0,) * (size - len(b))

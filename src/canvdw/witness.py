@@ -55,9 +55,6 @@ class Certificate:
     d_policy: str
     h: int
 
-    def witness(self) -> WitnessSet:
-        return WitnessSet(self.kind, self.a, self.d, self.elements, self.evidence)
-
     def to_json(self) -> str:
         obj = {
             "kind": self.kind,

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -277,6 +278,8 @@ def test_malformed_inputs_carry_positions(files, capsys):
         ("nolength.txt", "m=1\n0\n", 1),  # header without N=
         ("negative.txt", "m=1 N=2\n0\n-1\n", 3),  # negative label
         ("negm.txt", "m=-1 N=0\n", 1),  # negative m
+        ("negm1.txt", "m=-1 N=1\n5\n", 1),  # negative m, with an element line
+        ("zeron.txt", "m=1 n=0 N=1\n1 1\n", 1),  # empty bounded palette
         ("huge0.txt", "m=0 N=1000000000000000000\n", 1),  # header without its body
     ):
         path = files(name, text)
@@ -307,6 +310,69 @@ def test_malformed_inputs_carry_positions(files, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "nested too deeply" in err
+
+
+def test_out_into_a_missing_directory_is_an_input_error(files, capsys, tmp_path):
+    col = files("col.txt", "1 1 1\n")
+    mono = files("mono.json", MONO_X)
+    rainbow = files("rainbow.json", '{"polys": [[1], [0, 1]], "role": "rainbow"}')
+    out = str(tmp_path / "missing" / "out.txt")
+    for argv in (
+        ("witness", "--colouring", col, "--mono", mono),
+        ("number", "--mono", mono, "--max-classes", "2"),
+        ("extremal", "--mono", mono, "--max-classes", "2", "--at-length", "1"),
+        ("bstar", "--family", rainbow, "--d-cap", "1"),
+        ("scale", "--family", mono, "--factor", "2"),
+    ):
+        code, _, err = run(capsys, *argv, "--out", out)
+        assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and out in err, (argv, err)
+
+
+def test_outsized_flags_are_input_errors(files, capsys):
+    # Each fails at once: a huge length or step cap asks for a list or
+    # range too large to allocate or to index.
+    pair = files("fam.json", '{"polys": [[1], [0, 1]], "role": "rainbow"}')
+    for argv in (
+        ("enumerate", "--length", str(10**18)),
+        ("enumerate", "--length", str(10**19)),
+        ("bstar", "--family", pair, "--d-cap", str(10**18)),
+        ("bstar", "--family", pair, "--d-cap", str(10**19)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) > len("error: \n"), (argv, err)
+
+
+def test_closed_output_pipe_stops_quietly(monkeypatch, capsys, tmp_path):
+    # stdout as a pipe whose reader has gone; main points its file
+    # descriptor (here a scratch file's) at devnull.
+    with open(tmp_path / "sink", "w") as sink:
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["enumerate", "--length", "3"])
+        monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (141, "")
+
+
+def test_closed_output_pipe_leaves_no_traceback():
+    src = str(Path(canvdw.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "canvdw", "enumerate", "--length", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"0 0 0 0 0 0 0 0 0 0 0 0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_witness_with_bounded_colouring(files, capsys):

@@ -68,7 +68,7 @@ def test_canonical_forms_agree_iff_partitions_agree():
 
     def parts(col):
         return {
-            tuple(i for i in range(1, col.length + 1) if col.label(i, 1) == col.label(j, 1))
+            tuple(i for i in range(1, col.length + 1) if col.rows[i - 1][0] == col.rows[j - 1][0])
             for j in range(1, col.length + 1)
         }
 
@@ -203,7 +203,7 @@ def test_block_coloring_fingerprint_coordinate():
     # equal final labels exactly when the blocks look alike
     for i in range(1, 4):
         for j in range(1, 4):
-            same_label = derived.final_label(i) == derived.final_label(j)
+            same_label = derived.rows[i - 1][derived.m] == derived.rows[j - 1][derived.m]
             assert same_label == interval_equivalent(c, i, j, 2)
 
 
@@ -292,8 +292,6 @@ def test_typed_colouring_validation():
             TypedColouring(m=1, n=None, rows=((bad,),))  # unbounded label not a natural
     unbounded = TypedColouring.single((1, 2))
     with pytest.raises(ValueError):
-        unbounded.final_label(1)
-    with pytest.raises(ValueError):
         unbounded.final_coordinate()
 
 
@@ -304,5 +302,5 @@ def test_coarsening_helper_never_splits_classes():
         merged = merge_two_classes(c, rng)
         for i in range(1, c.length + 1):
             for j in range(1, c.length + 1):
-                if c.label(i, 1) == c.label(j, 1):
-                    assert merged.label(i, 1) == merged.label(j, 1)
+                if c.rows[i - 1][0] == c.rows[j - 1][0]:
+                    assert merged.rows[i - 1][0] == merged.rows[j - 1][0]

@@ -394,15 +394,6 @@ def test_one_digest_per_colouring(monkeypatch):
     assert before[0] and hash(twin) == before[1] and repr(twin) == before[2]
 
 
-def test_witness_set_view():
-    c = TypedColouring.single((1, 1))
-    cert = find_witness(c, fam([1]))
-    w = cert.witness()
-    assert (w.kind, w.a, w.d, w.elements, w.evidence) == (
-        cert.kind, cert.a, cert.d, cert.elements, cert.evidence,
-    )
-
-
 def test_first_witness_is_the_certified_witness():
     # find_witness certifies exactly what first_witness finds, on every
     # colouring shape, step policy and threshold.
@@ -422,7 +413,7 @@ def test_first_witness_is_the_certified_witness():
                 assert (w is None) == (cert is None)
                 if cert is not None:
                     found += 1
-                    assert w == cert.witness()
+                    assert w == (cert.kind, cert.a, cert.d, cert.elements, cert.evidence)
     assert found > 1000
 
 
