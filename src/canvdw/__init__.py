@@ -3,7 +3,6 @@ typed interval colourings built from integral polynomial families."""
 
 from .coloring import (
     CanonicalForm,
-    ColouringFormatError,
     TypedColouring,
     bell_number,
     block_coloring,
@@ -20,7 +19,7 @@ from .coloring import (
     serialize,
 )
 from .polynomial import (
-    FamilyFormatError,
+    FormatError,
     IntegralPolynomial,
     PolynomialFamily,
     bstar_family,
@@ -59,6 +58,7 @@ from .witness import (
     is_fully_rainbow,
     is_monochromatic,
     is_rainbow,
+    load_certificate,
     step_admitted,
     validate_collection,
     verify_certificate,

@@ -5,9 +5,11 @@ result (no witness, no canonical number in range or within the node budget,
 certificate rejected), and 2 means a usage or input error (an unreadable
 input, an unwritable --out path, a request too large to hold in memory), or a
 search that hit its budget where a partial answer would mislead (number
---naive, extremal).  A run whose output pipe closes early stops silently with
-status 141.  Output for a fixed input and flag set is byte-identical across
-runs.  The search runs on one thread; --threads is still accepted, and
+--naive, extremal).  A malformed input file is reported as "error:
+<path>[:<line>]: <message>".  --out is written before stdout, so a failed
+write prints no result.  A run whose output pipe closes early stops silently
+with status 141.  Output for a fixed input and flag set is byte-identical
+across runs.  The search runs on one thread; --threads is still accepted, and
 checked to be positive, so that existing command lines keep working, but it
 has no other effect.
 """
@@ -23,11 +25,11 @@ from . import coloring, polynomial, search, witness
 
 
 def _load(load, path: str, *args):
-    # Read an input file with load (a colouring or family loader), naming
-    # the file in its format errors.
+    # Read an input file with load (a colouring, family or certificate
+    # loader), naming the file in its format errors.
     try:
         return load(path, *args)
-    except (coloring.ColouringFormatError, polynomial.FamilyFormatError) as e:
+    except polynomial.FormatError as e:
         where = f"{path}:{e.line}" if e.line is not None else path
         raise ValueError(f"{where}: {e.message}") from None
 
@@ -101,15 +103,14 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         print("no witness", file=sys.stderr)
         return 1
     text = cert.to_json()
-    sys.stdout.write(text)
     _write_out(args.out, text)
+    sys.stdout.write(text)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     col = _load(coloring.load_colouring, args.colouring)
-    with open(args.cert, encoding="utf-8") as fh:
-        cert = witness.Certificate.from_json(fh.read())
+    cert = _load(witness.load_certificate, args.cert)
     verdict = witness.verify_certificate(col, cert)
     if verdict.ok:
         print("certificate accepted")
@@ -125,8 +126,7 @@ def _cmd_number(args: argparse.Namespace) -> int:
     report = search.run_report(cfg, result, timing=args.timing)
     _write_out(args.out, report)
     if result.canonical_number is None:
-        # The pruned walk stops on the first node past its budget.
-        if cfg.node_budget is not None and result.nodes_expanded > cfg.node_budget:
+        if not result.witness_free_per_length:
             print(f"node budget of {cfg.node_budget} ran out before a canonical number was found",
                   file=sys.stderr)
         else:
@@ -140,8 +140,8 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
     cfg = _search_config(args)
     found = search.extremal_colourings(cfg, args.at_length, args.limit)
     text = "".join(" ".join(map(str, col.coordinate(1))) + "\n" for col in found)
-    sys.stdout.write(text)
     _write_out(args.out, text)
+    sys.stdout.write(text)
     return 0 if found else 1
 
 
@@ -161,8 +161,8 @@ def _cmd_bstar(args: argparse.Namespace) -> int:
     fam = _load(polynomial.load_family, args.family, polynomial.ROLE_RAINBOW)
     derived = polynomial.bstar_family(fam, args.h, args.d_cap)
     text = polynomial.dump_family(derived)
-    sys.stdout.write(text)
     _write_out(args.out, text)
+    sys.stdout.write(text)
     return 0 if derived.polys else 1
 
 
@@ -170,8 +170,8 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     fam = _load(polynomial.load_family, args.family, polynomial.ROLE_MONO)
     scaled = polynomial.scale_family(fam, args.factor)
     text = polynomial.dump_family(scaled)
-    sys.stdout.write(text)
     _write_out(args.out, text)
+    sys.stdout.write(text)
     return 0
 
 

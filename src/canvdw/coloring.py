@@ -13,14 +13,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-
-class ColouringFormatError(ValueError):
-    """Raised for malformed colouring documents."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        self.message = message
-        super().__init__(message if line is None else f"line {line}: {message}")
+from .polynomial import FormatError
 
 
 @dataclass(frozen=True)
@@ -239,7 +232,7 @@ def _parse_int(token: str, lineno: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ColouringFormatError(f"expected an integer, got {token!r}", lineno) from None
+        raise FormatError(f"expected an integer, got {token!r}", lineno) from None
 
 
 def parse_colouring(text: str) -> TypedColouring:
@@ -254,7 +247,7 @@ def parse_colouring(text: str) -> TypedColouring:
     numbered = [(i, ln.strip()) for i, ln in enumerate(raw, start=1)]
     numbered = [(i, ln) for i, ln in numbered if ln]
     if not numbered:
-        raise ColouringFormatError("empty colouring document")
+        raise FormatError("empty colouring document")
 
     # Reduce the three layouts to (m, n, one numbered line per element).
     first_no, first = numbered[0]
@@ -263,22 +256,22 @@ def parse_colouring(text: str) -> TypedColouring:
         for tok in first.split():
             key, eq, val = tok.partition("=")
             if not eq or key not in ("m", "n", "N") or key in fields:
-                raise ColouringFormatError(f"bad header token {tok!r}", first_no)
+                raise FormatError(f"bad header token {tok!r}", first_no)
             fields[key] = _parse_int(val, first_no)
         if "m" not in fields or "N" not in fields:
-            raise ColouringFormatError("header must declare m= and N=", first_no)
+            raise FormatError("header must declare m= and N=", first_no)
         m, n, length = fields["m"], fields.get("n"), fields["N"]
         if m < 0:
-            raise ColouringFormatError(f"m must be non-negative, got {m}", first_no)
+            raise FormatError(f"m must be non-negative, got {m}", first_no)
         if n is not None and n < 1:
-            raise ColouringFormatError(f"n must be positive when present, got {n}", first_no)
+            raise FormatError(f"n must be positive when present, got {n}", first_no)
         lines = numbered[1:]
         if not lines and (m, n) == (0, None):
             # Rows without labels serialize as the empty lines dropped above;
             # count those, never more than the document holds.
             lines = [(first_no, "")] * min(length, len(raw) - first_no)
         if len(lines) != length:
-            raise ColouringFormatError(
+            raise FormatError(
                 f"expected {length} element lines, found {len(lines)}", first_no
             )
     elif len(numbered) == 1:
@@ -291,13 +284,13 @@ def parse_colouring(text: str) -> TypedColouring:
     for lineno, ln in lines:
         toks = ln.split()
         if len(toks) != width:
-            raise ColouringFormatError(f"expected {width} labels, found {len(toks)}", lineno)
+            raise FormatError(f"expected {width} labels, found {len(toks)}", lineno)
         vals = tuple(_parse_int(t, lineno) for t in toks)
         for lab in vals[:m]:
             if lab < 0:
-                raise ColouringFormatError(f"negative label {lab}", lineno)
+                raise FormatError(f"negative label {lab}", lineno)
         if n is not None and not 1 <= vals[m] <= n:
-            raise ColouringFormatError(f"final label {vals[m]} outside 1..{n}", lineno)
+            raise FormatError(f"final label {vals[m]} outside 1..{n}", lineno)
         rows.append(vals)
     return TypedColouring(m, n, tuple(rows))
 

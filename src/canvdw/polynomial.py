@@ -14,8 +14,8 @@ from math import comb
 from typing import Iterable, Sequence
 
 
-class FamilyFormatError(ValueError):
-    """Raised for malformed polynomial family documents."""
+class FormatError(ValueError):
+    """Raised for a malformed colouring, family or certificate document."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -263,28 +263,27 @@ def parse_family(text: str, default_role: str = ROLE_MONO) -> PolynomialFamily:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
-        raise FamilyFormatError(e.msg, e.lineno) from None
+        raise FormatError(e.msg, e.lineno) from None
+    except ValueError as e:  # an integer literal past Python's digit limit
+        raise FormatError(str(e)) from None
     except RecursionError:
-        raise FamilyFormatError("nested too deeply") from None
+        raise FormatError("nested too deeply") from None
     if not isinstance(obj, dict):
-        raise FamilyFormatError("expected a JSON object with a 'polys' field")
+        raise FormatError("expected a JSON object with a 'polys' field")
     if "polys" not in obj:
-        raise FamilyFormatError("missing 'polys' field")
+        raise FormatError("missing 'polys' field")
     polys = obj["polys"]
     if not isinstance(polys, list):
-        raise FamilyFormatError("'polys' must be a list of coefficient lists")
+        raise FormatError("'polys' must be a list of coefficient lists")
     rows = []
     for i, cs in enumerate(polys):
         if not isinstance(cs, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in cs):
-            raise FamilyFormatError(f"'polys' entry {i} is not a list of ints")
+            raise FormatError(f"'polys' entry {i} is not a list of ints")
         rows.append(cs)
-    role = obj.get("role", default_role)
-    if role not in (ROLE_MONO, ROLE_RAINBOW):
-        raise FamilyFormatError(f"unknown role {role!r}")
     try:
-        return PolynomialFamily.from_coeff_lists(rows, role)
+        return PolynomialFamily.from_coeff_lists(rows, obj.get("role", default_role))
     except ValueError as e:
-        raise FamilyFormatError(str(e)) from None
+        raise FormatError(str(e)) from None
 
 
 def dump_family(family: PolynomialFamily) -> str:

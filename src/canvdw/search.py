@@ -77,17 +77,18 @@ class SearchConfig:
 class SearchResult:
     """Outcome of one engine run.
 
-    canonical_number is None when no length in range was conclusive;
-    exhausted marks that case (length range or node budget ran out).
-    witness_free_per_length[i] counts witness-free canonical colourings of
-    length i+1, up to the last fully explored length.
+    canonical_number is None when no length in range was conclusive: the
+    length range or the node budget ran out.  witness_free_per_length counts
+    witness-free canonical colourings per length.  The pruned engine's tuple
+    starts at length 1 and runs to n_limit; it is empty exactly when the
+    node budget ran out.  The naive engine's starts at n_start and ends at
+    the first length with none, or at n_limit.
     """
 
     canonical_number: int | None
     extremal_count_at_nminus1: int
     nodes_expanded: int
     wall_time: float
-    exhausted: bool
     witness_free_per_length: tuple[int, ...]
     engine: str
 
@@ -228,7 +229,7 @@ def canonical_number(cfg: SearchConfig) -> SearchResult:
     counts, nodes, _ = _run_tree(cfg, cfg.n_limit)
     wall = time.perf_counter() - t0
     if counts is None:
-        return SearchResult(None, 0, nodes, wall, True, (), "pruned")
+        return SearchResult(None, 0, nodes, wall, (), "pruned")
     found = None
     for length in range(cfg.n_start, cfg.n_limit + 1):
         if counts[length] == 0:
@@ -236,8 +237,8 @@ def canonical_number(cfg: SearchConfig) -> SearchResult:
             break
     per_length = tuple(counts[1:])
     if found is None:
-        return SearchResult(None, counts[cfg.n_limit], nodes, wall, True, per_length, "pruned")
-    return SearchResult(found, counts[found - 1], nodes, wall, False, per_length, "pruned")
+        return SearchResult(None, counts[cfg.n_limit], nodes, wall, per_length, "pruned")
+    return SearchResult(found, counts[found - 1], nodes, wall, per_length, "pruned")
 
 
 def extremal_colourings(cfg: SearchConfig, length: int, limit: int | None = None) -> list[TypedColouring]:
@@ -290,12 +291,10 @@ def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
         per_length.append(free)
         if free == 0:
             wall = time.perf_counter() - t0
-            return SearchResult(
-                length, prev, examined, wall, False, tuple(per_length), "naive"
-            )
+            return SearchResult(length, prev, examined, wall, tuple(per_length), "naive")
         prev = free
     wall = time.perf_counter() - t0
-    return SearchResult(None, prev, examined, wall, True, tuple(per_length), "naive")
+    return SearchResult(None, prev, examined, wall, tuple(per_length), "naive")
 
 
 def run_report(cfg: SearchConfig, result: SearchResult, timing: bool = False) -> str:
@@ -325,7 +324,7 @@ def run_report(cfg: SearchConfig, result: SearchResult, timing: bool = False) ->
         "extremal_count": result.extremal_count_at_nminus1,
         "witness_free_per_length": list(result.witness_free_per_length),
         "nodes_expanded": result.nodes_expanded,
-        "exhausted": result.exhausted,
+        "exhausted": result.canonical_number is None,
     }
     if timing:
         obj["wall_time"] = result.wall_time

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import inf
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .coloring import TypedColouring, colouring_digest
-from .polynomial import PolynomialFamily, ROLE_RAINBOW
+from .polynomial import FormatError, PolynomialFamily, ROLE_RAINBOW
 
 KIND_MONO = "monochromatic"
 KIND_RAINBOW = "rainbow"
@@ -74,9 +75,11 @@ class Certificate:
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
-            raise ValueError(f"malformed certificate: line {e.lineno}: {e.msg}") from None
+            raise FormatError(f"malformed certificate: {e.msg}", e.lineno) from None
+        except ValueError as e:  # an integer literal past Python's digit limit
+            raise FormatError(f"malformed certificate: {e}") from None
         except RecursionError:
-            raise ValueError("malformed certificate: nested too deeply") from None
+            raise FormatError("malformed certificate: nested too deeply") from None
         try:
             fam = obj["family"]
             family = PolynomialFamily.from_coeff_lists(fam["polys"], fam["role"])
@@ -84,8 +87,8 @@ class Certificate:
                 obj[key]
                 for key in ("kind", "a", "d", "elements", "evidence", "digest", "d_policy", "h")
             )
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"malformed certificate: {e}") from None
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"malformed certificate: {e}") from None
         problem = None
         if not isinstance(kind, str):
             problem = "kind must be a string"
@@ -102,8 +105,13 @@ class Certificate:
         elif not (_is_int(h) and h >= 0):
             problem = "h must be a non-negative integer"
         if problem is not None:
-            raise ValueError(f"malformed certificate: {problem}")
+            raise FormatError(f"malformed certificate: {problem}")
         return cls(kind, a, d, tuple(elements), evidence, family, digest, d_policy, h)
+
+
+def load_certificate(path: str) -> Certificate:
+    with open(path, encoding="utf-8") as fh:
+        return Certificate.from_json(fh.read())
 
 
 def _is_int(value) -> bool:
@@ -482,11 +490,25 @@ def verify_certificate(colouring: TypedColouring, cert: Certificate) -> VerifyRe
         return VerifyResult(False, "digest mismatch")
     if not (_is_int(cert.a) and _is_int(cert.d) and isinstance(cert.family, PolynomialFamily)):
         return VerifyResult(False, "element mismatch")
-    expected = (cert.a,) + tuple(cert.a + p.evaluate(cert.d) for p in cert.family.polys)
-    elements = cert.elements if isinstance(cert.elements, (tuple, list)) else ()
-    if tuple(elements) != expected or not all(map(_is_int, elements)):
+    a, d, polys = cert.a, cert.d, cert.family.polys
+    elements = tuple(cert.elements) if isinstance(cert.elements, (tuple, list)) else ()
+    if len(elements) != len(polys) + 1 or not all(map(_is_int, elements)) or elements[0] != a:
         return VerifyResult(False, "element mismatch")
-    if any(not 1 <= e <= colouring.length for e in expected):
+    for p, e in zip(polys, elements[1:]):
+        # p(d) == e - a by p.evaluate's Horner rule, without building a p(d)
+        # far larger than e - a: once |d| >= 2 and |acc| > 2 max|c| + |e - a|,
+        # each step gives |(acc + c) * d| >= 2 |acc| - 2 max|c| > |acc|, so
+        # |p(d)| ends above |e - a| and the loop can stop.
+        t = e - a
+        bound = inf if -2 < d < 2 else 2 * max(map(abs, p.coeffs), default=0) + abs(t)
+        acc = 0
+        for c in reversed(p.coeffs):
+            acc = (acc + c) * d
+            if abs(acc) > bound:
+                break
+        if acc != t:
+            return VerifyResult(False, "element mismatch")
+    if any(not 1 <= e <= colouring.length for e in elements):
         return VerifyResult(False, "out of range")
     known = _is_int(cert.h) and cert.h >= 0 and cert.d_policy in D_POLICIES
     if not (known and step_admitted(cert.kind, cert.d, cert.h, cert.d_policy)):
@@ -495,17 +517,17 @@ def verify_certificate(colouring: TypedColouring, cert: Certificate) -> VerifyRe
         j = cert.evidence
         if not _is_int(j) or not 1 <= j <= colouring.m:
             return VerifyResult(False, "evidence mismatch")
-        if len({colouring.rows[e - 1][j - 1] for e in expected}) != 1:
+        if len({colouring.rows[e - 1][j - 1] for e in elements}) != 1:
             return VerifyResult(False, "predicate failed")
     elif cert.kind == KIND_RAINBOW:
         if cert.evidence is not None:
             return VerifyResult(False, "evidence mismatch")
-        if not is_rainbow(colouring, expected):
+        if not is_rainbow(colouring, elements):
             return VerifyResult(False, "predicate failed")
     else:
         if colouring.n is None:
             return VerifyResult(False, "predicate failed")
-        lab = is_fully_rainbow(colouring, expected)
+        lab = is_fully_rainbow(colouring, elements)
         if lab is None:
             return VerifyResult(False, "predicate failed")
         if not _is_int(cert.evidence) or lab != cert.evidence:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -68,7 +69,7 @@ def test_witness_round_trip_through_disk(files, capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--colouring", col, "--cert", cert_path)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: malformed certificate")
+    assert err.startswith(f"error: {cert_path}: malformed certificate")
 
 
 def test_witness_absent(files, capsys):
@@ -310,6 +311,42 @@ def test_malformed_inputs_carry_positions(files, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "nested too deeply" in err
+    # Certificates are read like colourings and families: one line naming
+    # the file, also for errors of the family inside.
+    ones = files("ones.txt", "1 1 1\n")
+    code, cert, _ = run(capsys, "witness", "--colouring", ones, "--mono", files("x.json", MONO_X))
+    assert code == 0
+    obj = json.loads(cert)
+    huge = "9" * 5000  # past Python's 4,300-digit limit for int literals
+    for path, message in (
+        (files("cut.json", cert[:2]), ":2: malformed certificate: Expecting"),
+        (files("role.json", json.dumps(dict(obj, family={"polys": [[1]], "role": "bogus"}))),
+         ": malformed certificate: unknown family role 'bogus'"),
+        (files("twins.json", json.dumps(dict(obj, family={"polys": [[1], [1]], "role": "rainbow"}))),
+         ": malformed certificate: rainbow families must be pairwise distinct"),
+        (files("huge.json", cert.replace('"d": 1', f'"d": {huge}')), ": malformed certificate: Exceeds the limit"),
+    ):
+        code, out, err = run(capsys, "verify", "--colouring", ones, "--cert", path)
+        assert (code, out) == (2, ""), path
+        assert err.startswith(f"error: {path}{message}") and err.count("\n") == 1, err
+    family = files("hugefam.json", f'{{"polys": [[{huge}]]}}')
+    for argv in (("witness", "--colouring", ones, "--mono", family), ("hvalue", "--family", family)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {family}: Exceeds the limit") and err.count("\n") == 1, err
+
+
+def test_hostile_certificate_is_answered_at_once(files, capsys):
+    # p = x^3001 at a 4,000-digit d: p(d) would have 12 million digits.
+    col = files("col.txt", "1 1 1\n")
+    mono = files("mono.json", MONO_X)
+    code, cert, _ = run(capsys, "witness", "--colouring", col, "--mono", mono)
+    obj = dict(json.loads(cert), family={"polys": [[0] * 3000 + [1]], "role": "mono"}, d=int("9" * 4000))
+    path = files("hostile.json", json.dumps(obj))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--colouring", col, "--cert", path)
+    assert (code, out, err) == (1, "certificate rejected: element mismatch\n", "")
+    assert time.perf_counter() - start < 1
 
 
 def test_out_into_a_missing_directory_is_an_input_error(files, capsys, tmp_path):
@@ -324,8 +361,8 @@ def test_out_into_a_missing_directory_is_an_input_error(files, capsys, tmp_path)
         ("bstar", "--family", rainbow, "--d-cap", "1"),
         ("scale", "--family", mono, "--factor", "2"),
     ):
-        code, _, err = run(capsys, *argv, "--out", out)
-        assert code == 2, argv
+        code, stdout, err = run(capsys, *argv, "--out", out)
+        assert (code, stdout) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1 and out in err, (argv, err)
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from canvdw.coloring import (
-    ColouringFormatError,
+    FormatError,
     TypedColouring,
     bell_number,
     block_coloring,
@@ -267,7 +267,7 @@ def test_parse_colouring_errors_carry_line_numbers():
         ("1 z\n", 1),                     # bad literal
     ]
     for text, line in cases:
-        with pytest.raises(ColouringFormatError) as info:
+        with pytest.raises(FormatError) as info:
             parse_colouring(text)
         assert info.value.line == line
 

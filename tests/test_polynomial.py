@@ -3,7 +3,7 @@ import random
 import pytest
 
 from canvdw.polynomial import (
-    FamilyFormatError,
+    FormatError,
     IntegralPolynomial,
     PolynomialFamily,
     bstar_family,
@@ -290,17 +290,17 @@ def test_parse_and_dump_family():
     family = parse_family('{"polys": [[1], [2], [0, 1]], "role": "mono"}')
     assert [p.coeffs for p in family.polys] == [(1,), (2,), (0, 1)]
     assert parse_family(dump_family(family)) == family
-    with pytest.raises(FamilyFormatError):
+    with pytest.raises(FormatError):
         parse_family('{"role": "mono"}')
-    with pytest.raises(FamilyFormatError):
+    with pytest.raises(FormatError):
         parse_family('{"polys": [[1], ["x"]]}')
-    with pytest.raises(FamilyFormatError):
+    with pytest.raises(FormatError):
         parse_family('{"polys": [[1], [1]], "role": "rainbow"}')
-    with pytest.raises(FamilyFormatError):
+    with pytest.raises(FormatError):
         parse_family("[" * 200_000)  # nested past the recursion limit
     err = None
     try:
         parse_family('{"polys": [[1],\n [2],]}')
-    except FamilyFormatError as e:
+    except FormatError as e:
         err = e
     assert err is not None and err.line == 2

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from dataclasses import replace
@@ -29,7 +30,7 @@ def test_single_linear_family_both_engines():
     assert all(v == 0 for v in pruned.witness_free_per_length[1:])
     assert pruned.extremal_count_at_nminus1 == 1
     assert pruned.engine == "pruned"
-    assert not pruned.exhausted
+    assert json.loads(run_report(LINEAR, pruned))["exhausted"] is False
     naive = naive_canonical_number(LINEAR)
     assert naive.canonical_number == 2
     assert naive.witness_free_per_length == (1, 0)
@@ -150,7 +151,7 @@ def test_budget_aborts_pruned_engine():
     cfg = SearchConfig(mono_family=fam([1], [2]), max_classes=2, node_budget=10)
     res = canonical_number(cfg)
     assert res.canonical_number is None
-    assert res.exhausted
+    assert json.loads(run_report(cfg, res))["exhausted"] is True
     assert res.nodes_expanded == 11  # the walk stops on the first node past the budget
     assert res.witness_free_per_length == ()
 
@@ -230,7 +231,7 @@ def test_unfound_number_is_reported_as_exhausted():
     )
     res = canonical_number(cfg)
     assert res.canonical_number is None
-    assert res.exhausted
+    assert json.loads(run_report(cfg, res))["exhausted"] is True
     assert res.witness_free_per_length == (1, 2, 3, 5, 7)
     # with nothing found the count reported is the deepest layer's
     assert res.extremal_count_at_nminus1 == 7
@@ -241,7 +242,7 @@ def test_unfound_number_is_reported_as_exhausted():
     )
     res = canonical_number(deep)
     assert res.canonical_number is None
-    assert res.exhausted
+    assert json.loads(run_report(deep, res))["exhausted"] is True
     assert res.nodes_expanded == 1200
     assert res.witness_free_per_length == (1,) * 1200
 

@@ -345,6 +345,28 @@ def test_verify_certificate_rejections():
         assert verify_certificate(pair, odd).reason == "element mismatch", name
 
 
+def test_verify_certificate_decides_elements_without_building_huge_values():
+    c = TypedColouring.single((1, 2, 3))
+    digest = colouring_digest(c)
+    squares = fam([1], [0, 1])
+    for d in (10**50, -(10**50)):  # the claimed elements are the true ones
+        cert = Certificate(KIND_MONO, 1, d, (1, 1 + d, 1 + d * d), 1, squares, digest, "nonzero", 0)
+        assert verify_certificate(c, cert).reason == "out of range", d
+    # At |d| <= 1 the running value can pass the bound and come back:
+    # x^26 + ... + x^75 - 2(x + ... + x^25) is 0 at d = 1.
+    wave = fam([-2] * 25 + [1] * 50)
+    assert verify_certificate(c, Certificate(KIND_MONO, 1, 1, (1, 1), 1, wave, digest, "any", 0)).ok
+    # Agreement with evaluate on small steps, exact values and near misses.
+    rng = random.Random(2004)
+    for _ in range(3000):
+        family = fam(*([rng.randint(-5, 5) for _ in range(rng.randint(1, 5))] for _ in range(2)))
+        d = rng.randint(-6, 6)
+        true = tuple(1 + p.evaluate(d) for p in family.polys)
+        claimed = tuple(rng.choice((e, e, e, e + 1, e - 1, 1, rng.randint(-(10**6), 10**6))) for e in true)
+        cert = Certificate(KIND_MONO, 1, d, (1,) + claimed, 1, family, digest, "any", 0)
+        assert (verify_certificate(c, cert).reason == "element mismatch") == (claimed != true)
+
+
 def test_verify_result_is_truthy():
     c = TypedColouring.single((1, 1))
     cert = find_witness(c, fam([1]))
