@@ -32,6 +32,8 @@ def _load(load, path: str, *args):
     except polynomial.FormatError as e:
         where = f"{path}:{e.line}" if e.line is not None else path
         raise ValueError(f"{where}: {e.message}") from None
+    except UnicodeDecodeError as e:  # the loaders read UTF-8 text
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _write_out(path: str | None, text: str) -> None:

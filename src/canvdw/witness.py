@@ -57,18 +57,29 @@ class Certificate:
     h: int
 
     def to_json(self) -> str:
-        obj = {
-            "kind": self.kind,
-            "a": self.a,
-            "d": self.d,
-            "elements": list(self.elements),
-            "evidence": self.evidence,
-            "family": {"polys": self.family.coeff_lists(), "role": self.family.role},
-            "digest": self.digest,
-            "d_policy": self.d_policy,
-            "h": self.h,
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        # The bytes of json.dumps(obj, indent=2) + "\n" for the object with
+        # these keys in this order.  With indent set, json.dumps runs its
+        # pure-Python encoder, which cost most of a certificate round trip.
+        polys = [
+            _json_array([_json(c, "        ") for c in p.coeffs], "      ")
+            for p in self.family.polys
+        ]
+        return (
+            '{\n  "kind": %s,\n  "a": %s,\n  "d": %s,\n  "elements": %s,\n  "evidence": %s,\n'
+            '  "family": {\n    "polys": %s,\n    "role": %s\n  },\n'
+            '  "digest": %s,\n  "d_policy": %s,\n  "h": %s\n}\n'
+        ) % (
+            _json(self.kind, "  "),
+            _json(self.a, "  "),
+            _json(self.d, "  "),
+            _json_array([_json(e, "    ") for e in self.elements], "  "),
+            _json(self.evidence, "  "),
+            _json_array(polys, "    "),
+            _json(self.family.role, "    "),
+            _json(self.digest, "  "),
+            _json(self.d_policy, "  "),
+            _json(self.h, "  "),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -112,6 +123,28 @@ class Certificate:
 def load_certificate(path: str) -> Certificate:
     with open(path, encoding="utf-8") as fh:
         return Certificate.from_json(fh.read())
+
+
+def _json(value, pad: str) -> str:
+    # value as json.dumps(..., indent=2) writes it on a line indented by pad.
+    # Exact ints, None and strings cover every certificate the search
+    # builds; a bool, float or container of a code-built one goes through
+    # json.dumps itself.
+    if type(value) is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    # JSON texts as the array indent=2 writes on a line indented by pad.
+    if not items:
+        return "[]"
+    inner = "\n  " + pad
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
 def _is_int(value) -> bool:

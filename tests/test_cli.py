@@ -349,6 +349,22 @@ def test_hostile_certificate_is_answered_at_once(files, capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_input_that_is_not_utf8_names_its_file(files, capsys, tmp_path):
+    col = files("col.txt", "1 1 1\n")
+    mono = files("mono.json", MONO_X)
+    undecodable = tmp_path / "utf16.bin"
+    undecodable.write_bytes(b"\xff\xfe1\x00 \x001\x00\n\x00")
+    bad = str(undecodable)
+    for argv in (
+        ("witness", "--colouring", bad, "--mono", mono),
+        ("number", "--mono", bad, "--max-classes", "2"),
+        ("verify", "--colouring", col, "--cert", bad),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode") and err.count("\n") == 1, (argv, err)
+
+
 def test_out_into_a_missing_directory_is_an_input_error(files, capsys, tmp_path):
     col = files("col.txt", "1 1 1\n")
     mono = files("mono.json", MONO_X)

@@ -259,6 +259,60 @@ def test_certificate_json_round_trip():
         Certificate.from_json("[1, 2]")
 
 
+def _json_dumps_certificate(cert):
+    obj = {
+        "kind": cert.kind,
+        "a": cert.a,
+        "d": cert.d,
+        "elements": list(cert.elements),
+        "evidence": cert.evidence,
+        "family": {"polys": cert.family.coeff_lists(), "role": cert.family.role},
+        "digest": cert.digest,
+        "d_policy": cert.d_policy,
+        "h": cert.h,
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def test_certificate_text_is_json_dumps_with_indent_2():
+    # to_json lays the text out itself; it must stay the bytes of
+    # json.dumps(..., indent=2) + "\n", on found certificates of every kind
+    # and on code-built ones whose fields are not ints.
+    big = 10**40
+    monos = (None, fam([1], [2]), fam([-1], [0, 1]), fam([], [1]), fam([-2, 0, 1]), fam([1], [big, -big]))
+    rainbows = (None, fam([1], [2], [big, -big], role="rainbow"), fam([-1], [0, 0, 1], role="rainbow"))
+    rng = random.Random(16072020)
+    kinds = set()
+    found = negative_d = shifted = with_big = 0
+    for trial in range(4500):
+        c = random_colouring(rng, rng.randint(1, 16), rng.choice((1, 2)), rng.choice((None, 2, 3)), rng.choice((2, 3, 6)))
+        rain = rng.choice(rainbows) if trial % 3 else random_rainbow_family(rng)
+        cert = find_witness(c, rng.choice(monos), rain, trial % 3, D_POLICIES[trial // 3 % 4])
+        if cert is None:
+            continue
+        assert cert.to_json() == _json_dumps_certificate(cert), cert
+        found += 1
+        kinds.add(cert.kind)
+        negative_d += cert.d < 0
+        shifted += cert.h > 0
+        with_big += any(big in cs for cs in cert.family.coeff_lists())
+    assert found >= 3000
+    assert kinds == {KIND_MONO, KIND_RAINBOW, KIND_FULLY_RAINBOW}
+    assert negative_d and shifted and with_big
+    base = find_witness(TypedColouring.single((1, 1, 1)), fam([1]))
+    for name, values in (
+        ("family", (fam(), fam([]), fam([big], [-big, 0, big]))),
+        ("evidence", (None, 0, -5, True, 1.5, "s")),
+        ("elements", ((), (True, 2.0, "a, b"), ([1, [2]], {"k": None}))),
+        ("a", (False,)),
+        ("h", (float("nan"),)),
+        ("kind", ('é"\\',)),
+    ):
+        for value in values:
+            cert = dataclasses.replace(base, **{name: value})
+            assert cert.to_json() == _json_dumps_certificate(cert), (name, value)
+
+
 def test_verify_certificate_rejections():
     c = TypedColouring.single((1, 2, 3))
     cert = find_witness(c, None, fam([1], role="rainbow"))
