@@ -27,6 +27,7 @@ from .polynomial import (
     h_value,
     load_family,
     parse_family,
+    parse_json,
     scale_family,
     shift_difference,
     weight_less,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class FormatError(ValueError):
@@ -111,8 +111,15 @@ class PolynomialFamily:
         return [list(p.coeffs) for p in self.polys]
 
     @classmethod
-    def from_coeff_lists(cls, lists: Iterable[Sequence[int]], role: str = ROLE_MONO) -> "PolynomialFamily":
-        return cls(tuple(IntegralPolynomial(tuple(cs)) for cs in lists), role)
+    def from_coeff_lists(cls, lists: Sequence[Sequence[int]], role: str = ROLE_MONO) -> "PolynomialFamily":
+        """The family of a document's "polys" and "role", wherever it is
+        read; FormatError unless "polys" is a list of lists of ints."""
+        if not isinstance(lists, (list, tuple)) or not all(isinstance(cs, (list, tuple)) for cs in lists):
+            raise FormatError("'polys' must be a list of coefficient lists")
+        try:
+            return cls(tuple(IntegralPolynomial(tuple(cs)) for cs in lists), role)
+        except (TypeError, ValueError) as e:  # a coefficient that is not an int, or members unfit for the role
+            raise FormatError(str(e)) from None
 
 
 def shift_difference(p: IntegralPolynomial, h: int) -> IntegralPolynomial:
@@ -254,36 +261,34 @@ def scale_family(family: PolynomialFamily, factor: int) -> PolynomialFamily:
     return PolynomialFamily(scaled, family.role)
 
 
-def parse_family(text: str, default_role: str = ROLE_MONO) -> PolynomialFamily:
-    """Parse a family document: JSON object with "polys" and optional "role".
-
-    "polys" is a list of coefficient lists, ascending powers starting at
-    power 1, e.g. [[1], [2], [0, 1]] for the family {x, 2x, x^2}.
-    """
+def parse_json(text: str):
+    """The value of a JSON document, or FormatError(message, line)."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(e.msg, e.lineno) from None
     except ValueError as e:  # an integer literal past Python's digit limit
         raise FormatError(str(e)) from None
     except RecursionError:
         raise FormatError("nested too deeply") from None
+
+
+def parse_family(text: str, default_role: str = ROLE_MONO) -> PolynomialFamily:
+    """Parse a family document: JSON object with "polys" and optional "role".
+
+    "polys" is a list of coefficient lists, ascending powers starting at
+    power 1, e.g. [[1], [2], [0, 1]] for the family {x, 2x, x^2}.  A rainbow
+    read refuses a document that declares another role.
+    """
+    obj = parse_json(text)
     if not isinstance(obj, dict):
         raise FormatError("expected a JSON object with a 'polys' field")
     if "polys" not in obj:
         raise FormatError("missing 'polys' field")
-    polys = obj["polys"]
-    if not isinstance(polys, list):
-        raise FormatError("'polys' must be a list of coefficient lists")
-    rows = []
-    for i, cs in enumerate(polys):
-        if not isinstance(cs, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in cs):
-            raise FormatError(f"'polys' entry {i} is not a list of ints")
-        rows.append(cs)
-    try:
-        return PolynomialFamily.from_coeff_lists(rows, obj.get("role", default_role))
-    except ValueError as e:
-        raise FormatError(str(e)) from None
+    role = obj.get("role", default_role)
+    if default_role == ROLE_RAINBOW and role != ROLE_RAINBOW:
+        raise FormatError(f"expected a rainbow family, got role {role!r}")
+    return PolynomialFamily.from_coeff_lists(obj["polys"], role)
 
 
 def dump_family(family: PolynomialFamily) -> str:

@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .coloring import TypedColouring, colouring_digest
-from .polynomial import FormatError, PolynomialFamily, ROLE_RAINBOW
+from .polynomial import FormatError, PolynomialFamily, ROLE_RAINBOW, parse_json
 
 KIND_MONO = "monochromatic"
 KIND_RAINBOW = "rainbow"
@@ -84,21 +84,16 @@ class Certificate:
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"malformed certificate: {e.msg}", e.lineno) from None
-        except ValueError as e:  # an integer literal past Python's digit limit
-            raise FormatError(f"malformed certificate: {e}") from None
-        except RecursionError:
-            raise FormatError("malformed certificate: nested too deeply") from None
-        try:
+            obj = parse_json(text)
             fam = obj["family"]
             family = PolynomialFamily.from_coeff_lists(fam["polys"], fam["role"])
             kind, a, d, elements, evidence, digest, d_policy, h = (
                 obj[key]
                 for key in ("kind", "a", "d", "elements", "evidence", "digest", "d_policy", "h")
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except FormatError as e:
+            raise FormatError(f"malformed certificate: {e.message}", e.line) from None
+        except (KeyError, TypeError) as e:
             raise FormatError(f"malformed certificate: {e}") from None
         problem = None
         if not isinstance(kind, str):

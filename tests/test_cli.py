@@ -161,6 +161,31 @@ def test_number_rejects_rainbow_conflict(files, capsys):
     assert "--threads" in err
 
 
+def test_rainbow_reads_refuse_another_declared_role(files, capsys):
+    # Twins are a valid mono family, so a rainbow read must not take them
+    # by their declared role; a mono read takes either role.
+    col = files("col.txt", "1 2 3\n")
+    mono = files("mono.json", MONO_3AP)
+    twins = files("twins.json", '{"polys": [[1], [1]], "role": "mono"}')
+    for argv in (
+        ("number", "--mono", mono, "--rainbow", twins),
+        ("extremal", "--mono", mono, "--rainbow", twins, "--at-length", "3"),
+        ("witness", "--colouring", col, "--rainbow", twins),
+        ("bstar", "--family", twins, "--d-cap", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {twins}: expected a rainbow family, got role 'mono'\n"), argv
+    rainbow = files("rainbow.json", RAINBOW_X)
+    for argv in (
+        ("hvalue", "--family", rainbow),
+        ("weight", "--family", rainbow),
+        ("scale", "--family", rainbow, "--factor", "2"),
+        ("witness", "--colouring", files("ones.txt", "1 1 1\n"), "--mono", rainbow),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+
+
 def test_number_budget_exit(files, capsys):
     mono = files("mono.json", MONO_3AP)
     code, out, err = run(
@@ -329,6 +354,15 @@ def test_malformed_inputs_carry_positions(files, capsys):
         code, out, err = run(capsys, "verify", "--colouring", ones, "--cert", path)
         assert (code, out) == (2, ""), path
         assert err.startswith(f"error: {path}{message}") and err.count("\n") == 1, err
+    # A certificate's family is read by the rules and messages of a family file.
+    for polys, elements in (({}, [1]), ("", [1]), ([""], [1, 1]), ([{}], [1, 1]), ([[True]], [1, 2])):
+        family = {"polys": polys, "role": "mono"}
+        path = files("fam.cert.json", json.dumps(dict(obj, family=family, elements=elements)))
+        code, out, err = run(capsys, "verify", "--colouring", ones, "--cert", path)
+        assert (code, out) == (2, ""), polys
+        assert err.startswith(f"error: {path}: malformed certificate: ") and err.count("\n") == 1, err
+        as_file = files("fam.json", json.dumps(family))
+        assert run(capsys, "hvalue", "--family", as_file)[2] == f"error: {as_file}: " + err.split("certificate: ", 1)[1]
     family = files("hugefam.json", f'{{"polys": [[{huge}]]}}')
     for argv in (("witness", "--colouring", ones, "--mono", family), ("hvalue", "--family", family)):
         code, out, err = run(capsys, *argv)
