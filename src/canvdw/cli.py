@@ -36,6 +36,16 @@ def _load(load, path: str, *args):
         raise ValueError(f"{path}: {e}") from None
 
 
+def _named(path: str, use, family, *args):
+    # use(family, *args) for a family read from path, its ValueError naming
+    # the file like a format error: a well-formed family that use cannot
+    # take (empty, or with no nonzero member) is an input error.
+    try:
+        return use(family, *args)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _write_out(path: str | None, text: str) -> None:
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -149,19 +159,19 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 def _cmd_hvalue(args: argparse.Namespace) -> int:
     fam = _load(polynomial.load_family, args.family, polynomial.ROLE_MONO)
-    print(polynomial.h_value(fam))
+    print(_named(args.family, polynomial.h_value, fam))
     return 0
 
 
 def _cmd_weight(args: argparse.Namespace) -> int:
     fam = _load(polynomial.load_family, args.family, polynomial.ROLE_MONO)
-    print(" ".join(map(str, polynomial.weight_vector(fam))))
+    print(" ".join(map(str, _named(args.family, polynomial.weight_vector, fam))))
     return 0
 
 
 def _cmd_bstar(args: argparse.Namespace) -> int:
     fam = _load(polynomial.load_family, args.family, polynomial.ROLE_RAINBOW)
-    derived = polynomial.bstar_family(fam, args.h, args.d_cap)
+    derived = _named(args.family, polynomial.bstar_family, fam, args.h, args.d_cap)
     text = polynomial.dump_family(derived)
     _write_out(args.out, text)
     sys.stdout.write(text)

@@ -16,7 +16,19 @@ from typing import Iterator, Sequence
 from .polynomial import FormatError
 
 
-@dataclass(frozen=True)
+# Rows of exact ints, each mapped to itself, so that equal rows of every
+# colouring are one tuple: canonical colourings draw their rows from a few
+# small palettes.  Bounded by the labels its rows hold rather than by
+# entries, since one colouring may hold a long row; emptied once past the
+# bound.  Only exact ints enter: (True,), (1.0,) and an int subclass's row
+# all equal (1,) and hash alike, and sharing one of them would change
+# another colouring's serialization.
+_ROW_TABLE_LABELS = 1 << 16
+_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+_rows_held = 0
+
+
+@dataclass(frozen=True, slots=True)
 class TypedColouring:
     """Colouring of {1, ..., N} with m unbounded coordinates and an optional
     bounded final coordinate.
@@ -29,28 +41,45 @@ class TypedColouring:
     n: int | None
     rows: tuple[tuple[int, ...], ...]
     # Hex digest of serialize(self), filled in by colouring_digest on first
-    # use.  A declared field keeps the key order of every instance's dict
-    # the same, so the dicts stay key-sharing.
+    # use; declared so that the class has a slot for it.
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        global _rows_held
         if self.m < 0:
             raise ValueError(f"m must be non-negative, got {self.m}")
         if self.n is not None and self.n < 1:
             raise ValueError(f"n must be positive when present, got {self.n}")
         width = self.m + (1 if self.n is not None else 0)
         rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+        plain = True  # every label an exact int
         for t, row in enumerate(rows, start=1):
             if len(row) != width:
                 raise ValueError(f"element {t} has {len(row)} labels, expected {width}")
             for lab in row[: self.m]:
-                if not isinstance(lab, int) or isinstance(lab, bool) or lab < 0:
+                if type(lab) is not int:
+                    if not isinstance(lab, int) or isinstance(lab, bool):
+                        raise ValueError(f"element {t} has invalid label {lab!r}")
+                    plain = False
+                if lab < 0:
                     raise ValueError(f"element {t} has invalid label {lab!r}")
             if self.n is not None:
                 fin = row[self.m]
-                if not isinstance(fin, int) or isinstance(fin, bool) or not 1 <= fin <= self.n:
+                if type(fin) is not int:
+                    if not isinstance(fin, int) or isinstance(fin, bool):
+                        raise ValueError(f"element {t} final label {fin!r} outside 1..{self.n}")
+                    plain = False
+                if not 1 <= fin <= self.n:
                     raise ValueError(f"element {t} final label {fin!r} outside 1..{self.n}")
+        if plain:
+            # Validated first: (True,) would otherwise come back as (1,).
+            held = len(_rows)
+            rows = tuple(map(_rows.setdefault, rows, rows))
+            _rows_held += (len(_rows) - held) * width
+            if _rows_held > _ROW_TABLE_LABELS:
+                _rows.clear()
+                _rows_held = 0
+        object.__setattr__(self, "rows", rows)
 
     @property
     def length(self) -> int:

@@ -243,6 +243,18 @@ def test_hvalue_and_weight(files, capsys):
     assert (code, out) == (0, "2 1\n")
 
 
+def test_family_a_command_cannot_use_names_its_file(files, capsys):
+    empty = files("empty.json", '{"polys": []}')
+    zero = files("zero.json", '{"polys": [[0]]}')
+    for argv, message in (
+        (("hvalue", "--family", empty), "h_value undefined for an empty family"),
+        (("weight", "--family", zero), "weight vector undefined for a family with no nonzero members"),
+        (("bstar", "--family", empty, "--d-cap", "2"), "bstar_family requires a nonempty family"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {argv[2]}: {message}\n")
+
+
 def test_python_dash_m_runs_the_cli(files):
     grown = files("fam.json", '{"polys": [[1, 1], [3, 1]]}')
     src = str(Path(canvdw.__file__).resolve().parent.parent)

@@ -1,9 +1,11 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+import canvdw.coloring
 from canvdw.coloring import (
     FormatError,
     TypedColouring,
@@ -293,6 +295,85 @@ def test_typed_colouring_validation():
     unbounded = TypedColouring.single((1, 2))
     with pytest.raises(ValueError):
         unbounded.final_coordinate()
+
+
+@pytest.fixture
+def row_table(monkeypatch):
+    """An empty row table for one test; the module's own is restored after."""
+    monkeypatch.setattr(canvdw.coloring, "_rows", {})
+    monkeypatch.setattr(canvdw.coloring, "_rows_held", 0)
+    return canvdw.coloring
+
+
+def test_equal_rows_are_one_tuple(row_table):
+    a = TypedColouring(m=1, n=2, rows=(tuple([0, 1]), tuple([2, 2]), tuple([0, 1])))
+    b = TypedColouring(m=1, n=2, rows=[[2, 2], [0, 1]])
+    assert a.rows[0] is a.rows[2] is b.rows[1]
+    assert a.rows[1] is b.rows[0]
+    assert a.rows == ((0, 1), (2, 2), (0, 1)) and b.rows == ((2, 2), (0, 1))
+    assert row_table._rows_held == 4 == sum(map(len, row_table._rows))
+
+
+def test_rows_that_only_equal_an_int_row_are_not_shared(row_table):
+    # (True, 1), (1.0, 1) and a row of an int subclass all equal (1, 1) and
+    # hash alike.  The first two are refused; the third keeps its own row
+    # and never becomes the row other colourings share.
+    class Loud(int):
+        def __str__(self):
+            return "loud"
+
+    text = "m=1 n=1 N=1\n1 1\n"
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+
+    def plain():
+        c = TypedColouring(m=1, n=1, rows=[[1, 1]])
+        assert list(map(type, c.rows[0])) == [int, int]
+        assert (serialize(c), colouring_digest(c)) == (text, digest)
+        return c
+
+    shared = plain().rows[0]
+    for bad in ((True, 1), (1.0, 1), (1, True), (1, 1.0)):
+        with pytest.raises(ValueError):
+            TypedColouring(m=1, n=1, rows=(bad,))
+    for row in ((Loud(1), 1), (1, Loud(1))):
+        loud = TypedColouring(m=1, n=1, rows=(row,))
+        assert loud.rows[0] is row and "loud" in serialize(loud)
+    assert plain().rows[0] is shared and list(row_table._rows) == [shared]
+    # A table that meets a subclass row first stays empty.
+    row_table._rows.clear()
+    TypedColouring(m=1, n=1, rows=((Loud(1), Loud(1)),))
+    assert row_table._rows == {}
+    plain()
+
+
+def test_row_table_stays_within_its_bound(row_table):
+    bound = row_table._ROW_TABLE_LABELS
+    TypedColouring(m=3, n=None, rows=((1, 2, 3), (1, 2, 3), (4, 5, 6)))
+    assert row_table._rows_held == 6 == sum(map(len, row_table._rows))
+    # One colouring with more distinct labels than the bound leaves the
+    # table empty rather than oversized, and keeps its own rows.
+    labels = range(bound + 1)
+    huge = TypedColouring.single(labels)
+    assert huge.rows == tuple((lab,) for lab in labels)
+    assert row_table._rows_held == 0 == len(row_table._rows)
+    after = TypedColouring(m=3, n=None, rows=[[1, 2, 3]])
+    assert row_table._rows == {(1, 2, 3): after.rows[0]} and row_table._rows_held == 3
+
+
+def test_colourings_from_a_small_palette_share_memory():
+    # 20,000 single-coordinate colourings of length 40 over 3 classes hold
+    # 800,000 rows but only 3 distinct ones.  With a tuple per row they
+    # peak at about 45 MiB; with shared rows at about 8 MiB, mostly each
+    # colouring's own tuple of 40 row pointers.
+    rng = random.Random(20_000)
+    tracemalloc.start()
+    try:
+        kept = [TypedColouring.single(rng.choices(range(3), k=40)) for _ in range(20_000)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert len({id(row) for c in kept for row in c.rows}) == 3
 
 
 def test_coarsening_helper_never_splits_classes():
