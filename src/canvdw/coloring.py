@@ -140,23 +140,31 @@ def restricted_growth_strings(length: int, max_classes: int | None = None) -> It
         raise ValueError(f"length must be non-negative, got {length}")
     if max_classes is not None and max_classes < 1:
         raise ValueError(f"max_classes must be positive, got {max_classes}")
-    # Enumeration without recursion.  used[i] is the number of classes among
-    # labels[:i]; the next string bumps the rightmost position that can
-    # still grow (to an existing class, or to a fresh one while the palette
-    # cap allows) and resets every later position to class 0.
+    # Enumeration without recursion, one prefix of length - 1 at a time:
+    # each prefix is followed by every label its last position may take.
+    # used[i] is the number of classes among labels[:i]; the next prefix
+    # bumps the rightmost position that can still grow (to an existing
+    # class, or to a fresh one while the palette cap allows) and resets
+    # every later position to class 0.
     cap = length if max_classes is None else max_classes
-    labels = [0] * length
-    used = [0] + [1] * length
+    if length == 0:
+        yield ()
+        return
+    n = length - 1
+    labels = [0] * n
+    used = [0] + [1] * n
     while True:
-        yield tuple(labels)
-        i = length - 1
+        prefix = tuple(labels)
+        for v in range(min(used[n] + 1, cap)):
+            yield prefix + (v,)
+        i = n - 1
         while i >= 0 and (labels[i] >= used[i] or labels[i] + 1 >= cap):
             i -= 1
         if i < 0:
             return
         labels[i] += 1
-        labels[i + 1 :] = [0] * (length - i - 1)
-        used[i + 1 :] = [max(used[i], labels[i] + 1)] * (length - i)
+        labels[i + 1 :] = [0] * (n - i - 1)
+        used[i + 1 :] = [max(used[i], labels[i] + 1)] * (n - i)
 
 
 def enumerate_colourings(length: int, max_classes: int | None = None) -> Iterator[TypedColouring]:

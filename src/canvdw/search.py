@@ -272,6 +272,7 @@ def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
         nonlocal examined
         free = 0
         scan = witness_scanner(cfg.mono_family, cfg.rainbow_family, length, cfg.h, cfg.d_policy)
+        self_check = cfg.self_check
         for labels in restricted_growth_strings(length, cfg.max_classes):
             examined += 1
             if examined > cap:
@@ -280,7 +281,7 @@ def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
                 )
             if scan(labels) is None:
                 free += 1
-            elif cfg.self_check:
+            elif self_check:
                 _self_check(cfg, TypedColouring.single(labels))
         return free
 

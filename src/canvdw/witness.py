@@ -358,11 +358,16 @@ def _scan_plan(
 ) -> tuple[tuple, ...]:
     # Every candidate witness inside [length], in the scan order: each
     # admitted step expanded into its anchors, mono before rainbow at each
-    # (a, d), as a probe (is_mono, d, elements, pick) where pick is an
-    # itemgetter of the elements' zero-based positions.  Elements number at
-    # least two, so pick always returns a tuple.  The anchor a is
-    # elements[0], since offsets start at 0.  The oldest-inserted plans are
-    # evicted to make room for a new one.
+    # (a, d), as a probe (is_mono, pick, want, hit).  pick is an itemgetter
+    # of the elements' zero-based positions; elements number at least two,
+    # so pick always returns a tuple.  want is the count of distinct labels
+    # that makes the probe a witness on one unbounded coordinate: 1 for
+    # mono, one per element for rainbow, whose admitted steps never repeat
+    # a position.  hit is that one-coordinate witness, (monochromatic, a,
+    # d, elements, 1) or (rainbow, a, d, elements, None), built once and
+    # returned by every scan that finds it; the anchor a is elements[0],
+    # since offsets start at 0.  The oldest-inserted plans are evicted to
+    # make room for a new one.
     key = (mono_family, rainbow_family, length, h, d_policy)
     plan = _plans.get(key)
     if plan is None:
@@ -373,11 +378,15 @@ def _scan_plan(
                 for kind, offsets, a_min, a_max in slots:
                     if a_min <= a <= a_max:
                         elems = tuple(a + off for off in offsets)
-                        probe_key = (kind == KIND_MONO, d, elems)
+                        is_mono = kind == KIND_MONO
+                        probe_key = (is_mono, d, elems)
                         probe = probes.get(probe_key)
                         if probe is None:
-                            probe = probes[probe_key] = probe_key + (
+                            probe = probes[probe_key] = (
+                                is_mono,
                                 itemgetter(*(e - 1 for e in elems)),
+                                1 if is_mono else len(elems),
+                                WitnessSet(kind, a, d, elems, 1 if is_mono else None),
                             )
                         entries.append(probe)
         plan = tuple(entries)
@@ -419,7 +428,8 @@ def witness_scanner(
     scan also takes a plain tuple of labels, read as the colouring with that
     one unbounded coordinate and no bounded one.  The policy and h are
     checked and the scan plan is looked up once, here; scan raises
-    ValueError on a colouring of another length.
+    ValueError on a colouring of another length.  Scans may return the
+    same WitnessSet object, which is immutable.
     """
     if d_policy not in D_POLICIES:
         raise ValueError(f"unknown d policy {d_policy!r}")
@@ -438,30 +448,38 @@ def witness_scanner(
             cols = tuple(zip(*rows)) or ((),) * (m + bounded)
         if size != length:
             raise ValueError(f"scanner for length {length} got a colouring of length {size}")
+        if m == 1 and not bounded:
+            # One plain column: a probe is a witness iff its labels number
+            # want distinct values, and its witness is the prebuilt hit.
+            col = cols[0]
+            for _, pick, want, hit in plan:
+                if len(set(pick(col))) == want:
+                    return hit
+            return None
         mono_cols = tuple(enumerate(cols[:m], start=1))
         final = cols[m] if bounded else None
         # With one unbounded coordinate the elements are rainbow iff their
         # labels are distinct; otherwise a label repeated inside one element
         # is not a clash, so is_rainbow decides.
         rain_col = cols[0] if m == 1 else None
-        for is_mono, d, elems, pick in plan:
+        for is_mono, pick, want, hit in plan:
             if is_mono:
                 for j, col in mono_cols:
                     if len(set(pick(col))) == 1:
-                        return WitnessSet(KIND_MONO, elems[0], d, elems, j)
+                        return hit if j == 1 else hit._replace(evidence=j)
                 continue
             if bounded:
                 finals = set(pick(final))
                 if len(finals) != 1:
                     continue
             if rain_col is not None:
-                if len(set(pick(rain_col))) != len(elems):
+                if len(set(pick(rain_col))) != want:
                     continue
-            elif not is_rainbow(colouring, elems):
+            elif not is_rainbow(colouring, hit.elements):
                 continue
             if bounded:
-                return WitnessSet(KIND_FULLY_RAINBOW, elems[0], d, elems, finals.pop())
-            return WitnessSet(KIND_RAINBOW, elems[0], d, elems, None)
+                return WitnessSet(KIND_FULLY_RAINBOW, hit.a, hit.d, hit.elements, finals.pop())
+            return hit
         return None
 
     return scan

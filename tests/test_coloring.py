@@ -122,6 +122,25 @@ def test_enumerate_is_lexicographic():
         assert long == [(0,) * 3000, (0,) * 2999 + (1,), (0,) * 2998 + (1, 0)]
 
 
+def test_enumeration_order_is_the_definition():
+    # Restricted-growth strings with at most cap classes, in lexicographic
+    # order, are exactly the strings of product(range(length)) that their
+    # own restricted_growth leaves unchanged, in product's order.  Such a
+    # string has at most i classes before position i, so s[i] <= i, and the
+    # filter can run over the box product(range(1), ..., range(length)),
+    # which lists those strings in the same order; up to length 6 the full
+    # product is filtered too.
+    for length in range(9):
+        box = itertools.product(*(range(i + 1) for i in range(length)))
+        rgs = [s for s in box if restricted_growth(s) == s]
+        if length <= 6:
+            full = itertools.product(range(length), repeat=length)
+            assert rgs == [s for s in full if restricted_growth(s) == s]
+        for cap in (None, 1, 2, 3):
+            want = [s for s in rgs if cap is None or len(set(s)) <= cap]
+            assert list(restricted_growth_strings(length, cap)) == want, (length, cap)
+
+
 def test_enumerated_colourings_match_validated_ones():
     for length in range(9):
         for cap in (None, 1, 2, 3):

@@ -497,8 +497,9 @@ def test_first_witness_matches_the_reference_scan():
     # The column-picking scan against the scan written out from the public
     # predicates, on every coordinate shape from no labels to three
     # unbounded coordinates, lengths from 0, every step policy and h, and
-    # mono families with zero or repeated members.  On single-coordinate
-    # unbounded colourings the scanner reads the plain label tuple the same.
+    # mono families with zero or repeated members.  The first coordinate of
+    # every colouring with one, scanned as a plain label tuple, gives the
+    # reference's witness for the colouring of that one coordinate.
     rng = random.Random(20040776)
     monos = (None, fam([1], [2]), fam([]), fam([], [1]), fam([1], [1]), fam([0, 1]), fam([-1], [2]))
     kinds = set()
@@ -514,10 +515,12 @@ def test_first_witness_matches_the_reference_scan():
         args = (c, rng.choice(monos), rain, h, policy)
         w = first_witness(*args)
         assert w == reference_first_witness(*args), args
-        if (m, n) == (1, None):
-            scan = witness_scanner(args[1], rain, length, h, policy)
+        if m >= 1:
             labels = c.coordinate(1)
-            assert scan(labels) == scan(TypedColouring.single(labels)) == w, args
+            single = TypedColouring.single(labels)
+            scan = witness_scanner(args[1], rain, length, h, policy)
+            want = reference_first_witness(single, *args[1:])
+            assert scan(labels) == scan(single) == want, args
         kinds.add(None if w is None else w.kind)
         shapes.add((m, n, length == 0))
     assert kinds == {None, KIND_MONO, KIND_RAINBOW, KIND_FULLY_RAINBOW}
