@@ -150,6 +150,10 @@ def _cmd_number(args: argparse.Namespace) -> int:
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
     cfg = _search_config(args)
+    if args.at_length < 1:
+        raise ValueError(f"--at-length must be positive, got {args.at_length}")
+    if args.at_length > cfg.n_limit:
+        raise ValueError(f"--at-length {args.at_length} exceeds --n-limit {cfg.n_limit}")
     found = search.extremal_colourings(cfg, args.at_length, args.limit)
     text = "".join(" ".join(map(str, col.coordinate(1))) + "\n" for col in found)
     _write_out(args.out, text)

@@ -15,7 +15,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .coloring import TypedColouring, restricted_growth_strings
 from .polynomial import PolynomialFamily
@@ -123,18 +122,32 @@ def _run_tree(
     back has label v, and no bit past t.  Child label v completes a mono
     probe pm iff mv & pm == pm: a probe reaching before position 0 has a
     bit mv lacks, and an empty pm, from a zero member, repeated members or
-    d = 0, always blocks.  On entering a depth the walk keeps only the
-    rainbow probes that fit and whose earlier positions carry pairwise
-    distinct labels, once per parent; v completes one of those iff
-    mv & pm == 0.  Returns (per-depth counts or None if the budget ran
-    out, nodes expanded, the first keep complete colourings in
+    d = 0, always blocks.
+
+    Rainbow blocking is one bitset of allowed labels per depth.  Position i
+    also holds the bit 1 << labels[i].  On entering depth t the walk ORs
+    those bits over the earlier positions of each rainbow probe that fits.
+    Admitted rainbow steps never repeat a position, so the probe's labels
+    are pairwise distinct iff the OR has one bit per rainbow member; the
+    probe is then open, and its OR is the set of labels that do not
+    complete it.  allow is the AND of the open probes' ORs, or -1 when none
+    is open, and child v is blocked iff bit v of allow is clear.  A fresh
+    label is in no OR, so it is blocked iff some probe is open.
+
+    The children of a node at depth depth_cap-1 are leaves, so the walk
+    counts them at their parent instead of visiting each.  A nonzero mono
+    probe can complete only with the label of its nearest position, which
+    gives one banned label per probe; the leaves are the labels in allow
+    and not banned.  They still count one node each, and the walk stops
+    on a budget or on the keep-th colouring exactly where a visit of each
+    leaf in label order would.  Returns (per-depth counts or None if the
+    budget ran out, nodes expanded, the first keep complete colourings in
     lexicographic order).  The walk stops once it has kept keep of them.
     """
     # Probes de-duplicated in step-scan order; equal positions at one depth
-    # are equal distances.  A rainbow probe keeps a picker of the labels at
-    # its distances, after the -1 of the unset newest position.
+    # are equal distances.  A rainbow probe also keeps its distances.
     mono: dict[int, None] = {}
-    rain: dict[int, itemgetter] = {}
+    rain: dict[int, tuple[int, ...]] = {}
     steps = admitted_steps(cfg.mono_family, cfg.rainbow_family, depth_cap, cfg.h, cfg.d_policy)
     for _, step in steps:
         for kind, offsets, _, _ in step:
@@ -143,28 +156,41 @@ def _run_tree(
             if kind == KIND_MONO:
                 mono[mask] = None
             else:
-                rain[mask] = itemgetter(0, *dists)
+                rain[mask] = tuple(dists)
     mono_t = tuple(mono)
-    # Admitted rainbow steps never repeat an offset, so a rainbow probe's
-    # picks are pairwise distinct iff they number `distinct`.
-    distinct = len(cfg.rainbow_family.polys) + 1 if rain else 0
+    # Sorted by mask, so by reach: the probes that fit at a depth come first.
+    rain_t = sorted(rain.items())
+    members = len(cfg.rainbow_family.polys) if rain else 0
+
+    self_check = cfg.self_check
+    top = depth_cap - 1
+    if top == 0:
+        # One colouring of length 1, blocked only by an empty mono probe.
+        if 0 in mono:
+            if self_check:
+                _self_check(cfg, TypedColouring.single([0]))
+            return [1, 0], 1, []
+        return [1, 1], 1, [(0,)] if keep else []
+    # The mono probes that fit at the last depth, with the position of
+    # their nearest element there.  No node survives an empty probe.
+    last = [(pm, top - (pm & -pm).bit_length() + 1) for pm in mono_t if 0 < pm < 2 << top]
 
     # A prefix using `full` classes may not open a fresh one (-1: no cap).
     full = -1 if cfg.max_classes is None else cfg.max_classes
     budget = math.inf if cfg.node_budget is None else cfg.node_budget
-    self_check = cfg.self_check
     counts = [0] * (depth_cap + 1)
     counts[0] = 1
     collected: list[tuple[int, ...]] = []
     # labels[:depth] is the current prefix, using used[depth] classes;
-    # labels[depth] is the last label tried at position depth.  live[depth]
-    # holds the masks of the rainbow probes still open at that depth.
+    # labels[depth] is the last label tried at position depth.  bits[i] is
+    # 1 << labels[i], kept only for a rainbow family, and allows[depth] the
+    # labels no open rainbow probe forbids at depth, -1 without one.
     labels = [-1] * depth_cap
     used = [0] * depth_cap
     masks = [0] * depth_cap
-    live: list[list[int]] = [[]] * depth_cap
-    rain_t = live[0]
-    top = depth_cap - 1
+    bits = [0] * depth_cap
+    allows = [-1] * depth_cap
+    allow = nxt = -1
     nodes = 0
     depth = 0
     while True:
@@ -175,44 +201,74 @@ def _run_tree(
                 break
             depth -= 1
             masks[labels[depth]] ^= 1 << (top - depth)
-            rain_t = live[depth]
+            allow = allows[depth]
             continue
         labels[depth] = v
         nodes += 1
         if nodes > budget:
             return None, nodes, []
         mv = masks[v] >> (top - depth)
-        blocked = False
         for pm in mono_t:
             if mv & pm == pm:
-                blocked = True
                 break
-        if not blocked:
-            for pm in rain_t:
-                if not mv & pm:
-                    blocked = True
+        else:
+            # No mono probe completes; the child survives if allow has it.
+            if allow >> v & 1:
+                counts[depth + 1] += 1
+                bit = 1 << (top - depth)
+                masks[v] |= bit
+                if v == u:
+                    u += 1
+                if rain:
+                    bits[depth] = 1 << v
+                    t = depth + 1
+                    fits = 2 << t
+                    nxt = -1
+                    for pm, ks in rain_t:
+                        if pm >= fits:
+                            break
+                        seen = 0
+                        for k in ks:
+                            seen |= bits[t - k]
+                        if seen.bit_count() == members:
+                            nxt &= seen
+                if depth + 1 < top:
+                    depth += 1
+                    labels[depth] = -1
+                    used[depth] = u
+                    allow = allows[depth] = nxt
+                    continue
+                # The children are leaves: count them here.
+                lim = u if u == full else u + 1
+                ban = 0
+                for pm, pos in last:
+                    w = labels[pos]
+                    if masks[w] & pm == pm:
+                        ban |= 1 << w
+                free = nxt & ~ban & ((1 << lim) - 1)
+                if keep:
+                    for w in range(lim):
+                        if free >> w & 1:
+                            collected.append((*labels[:top], w))
+                            if len(collected) == keep:
+                                lim = w + 1
+                                free &= (2 << w) - 1
+                                break
+                if self_check:
+                    # The blocked leaves a visit would reach before the budget.
+                    for w in range(min(lim, budget - nodes)):
+                        if not free >> w & 1:
+                            _self_check(cfg, TypedColouring.single(labels[:top] + [w]))
+                nodes += lim
+                if nodes > budget:
+                    return None, budget + 1, []
+                counts[depth_cap] += free.bit_count()
+                if keep and len(collected) == keep:
                     break
-        if blocked:
-            if self_check:
-                _self_check(cfg, TypedColouring.single(labels[: depth + 1]))
-            continue
-        counts[depth + 1] += 1
-        if depth + 1 == depth_cap:
-            if keep:
-                collected.append(tuple(labels))
-                if len(collected) == keep:
-                    break
-            continue
-        masks[v] |= 1 << (top - depth)
-        depth += 1
-        labels[depth] = -1
-        used[depth] = u + 1 if v == u else u
-        if rain:
-            back = labels[depth::-1]
-            fits = 2 << depth
-            rain_t = live[depth] = [
-                pm for pm, pick in rain.items() if pm < fits and len(set(pick(back))) == distinct
-            ]
+                masks[v] ^= bit
+                continue
+        if self_check:
+            _self_check(cfg, TypedColouring.single(labels[: depth + 1]))
     return counts, nodes, collected
 
 

@@ -86,6 +86,49 @@ def reference_first_witness(
     return None
 
 
+def reference_walk(cfg, depth_cap: int, keep: float = 0):
+    """The pruned walk written as plain recursion over canonical prefixes,
+    children in label order: a child is blocked iff reference_first_witness
+    finds a witness in the prefix with the child appended, and every child
+    tried, leaves included, is one node.  Returns what _run_tree returns:
+    (counts per length or None, nodes, the first keep colourings), with
+    (None, node_budget + 1, []) once the node budget runs out.  Shares no
+    probe, mask or bitset with the library walk."""
+    budget = cfg.node_budget
+    counts = [1] + [0] * depth_cap
+    collected: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def visit(prefix: list[int], classes: int) -> bool:
+        # True once the walk must stop: the budget ran out or keep is met.
+        nonlocal nodes
+        fresh = cfg.max_classes is None or classes < cfg.max_classes
+        for v in range(classes + 1 if fresh else classes):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return True
+            child = prefix + [v]
+            found = reference_first_witness(
+                TypedColouring.single(child), cfg.mono_family, cfg.rainbow_family, cfg.h, cfg.d_policy
+            )
+            if found is not None:
+                continue
+            counts[len(child)] += 1
+            if len(child) < depth_cap:
+                if visit(child, max(classes, v + 1)):
+                    return True
+            elif keep:
+                collected.append(tuple(child))
+                if len(collected) == keep:
+                    return True
+        return False
+
+    visit([], 0)
+    if budget is not None and nodes > budget:
+        return None, nodes, []
+    return counts, nodes, collected
+
+
 def bell_sequence(upto: int) -> list[int]:
     # Triangle recurrence, independent of the library implementation path:
     # each row starts with the previous row's last entry and accumulates.

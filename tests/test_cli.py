@@ -232,6 +232,13 @@ def test_extremal(files, capsys):
         "--n-limit", "8", "--at-length", "8", "--node-budget", "20",
     )
     assert (code, out, err) == (2, "", "error: search exceeded its node budget of 20\n")
+    # A length out of range names the flags that set it.
+    for length, message in (
+        ("13", "--at-length 13 exceeds --n-limit 12"),
+        ("0", "--at-length must be positive, got 0"),
+    ):
+        code, out, err = run(capsys, "extremal", "--mono", mono, "--at-length", length)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_hvalue_and_weight(files, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -10,6 +11,7 @@ import canvdw.search
 from canvdw.search import (
     EnumerationCapExceeded,
     SearchConfig,
+    _run_tree,
     canonical_number,
     extremal_colourings,
     naive_canonical_number,
@@ -17,7 +19,7 @@ from canvdw.search import (
 )
 from canvdw.witness import D_POLICIES, VerifyResult, find_witness
 
-from _helpers import fam, random_rainbow_family
+from _helpers import fam, random_rainbow_family, reference_walk
 
 LINEAR = SearchConfig(mono_family=fam([1]), rainbow_family=fam([1], role="rainbow"))
 W32 = SearchConfig(mono_family=fam([1], [2]), max_classes=2)
@@ -154,6 +156,14 @@ def test_budget_aborts_pruned_engine():
     assert json.loads(run_report(cfg, res))["exhausted"] is True
     assert res.nodes_expanded == 11  # the walk stops on the first node past the budget
     assert res.witness_free_per_length == ()
+    # Canonical 3-AP to length 5 takes 36 nodes, the last of them a leaf its
+    # parent counts rather than visits; a budget of 35 runs out there.
+    ap3 = SearchConfig(
+        mono_family=fam([1], [2]), rainbow_family=fam([1], [2], role="rainbow"), n_limit=5
+    )
+    assert canonical_number(replace(ap3, node_budget=36)).nodes_expanded == 36
+    res = canonical_number(replace(ap3, node_budget=35))
+    assert (res.nodes_expanded, res.witness_free_per_length) == (36, ())
 
 
 def test_budget_caps_naive_engine():
@@ -377,8 +387,9 @@ def test_masks_handle_repeated_and_empty_positions():
 
 
 def test_exact_walks_of_classical_instances():
-    # The pruned walk of two van der Waerden numbers, node for node, as the
-    # benchmark's reference values record them.
+    # The pruned walk of two van der Waerden numbers and of canonical 3-AP
+    # and 4-AP, node for node, as the benchmark's reference values record
+    # them.
     w42 = canonical_number(SearchConfig(mono_family=fam([1], [2], [3]), max_classes=2, n_limit=40))
     assert (w42.canonical_number, w42.nodes_expanded) == (35, 20351)
     assert w42.witness_free_per_length == (
@@ -391,3 +402,58 @@ def test_exact_walks_of_classical_instances():
         1, 2, 4, 11, 28, 71, 155, 327, 601, 1174, 1965, 3267, 4937, 7553, 9574, 12409, 14242,
         15920, 14136, 11930, 8428, 3837, 1448, 467, 52, 8, 0, 0, 0, 0,
     )
+    canon3 = canonical_number(
+        SearchConfig(mono_family=fam([1], [2]), rainbow_family=fam([1], [2], role="rainbow"))
+    )
+    assert (canon3.canonical_number, canon3.nodes_expanded) == (9, 205)
+    assert canon3.witness_free_per_length == (1, 2, 3, 6, 9, 15, 15, 10, 0, 0, 0, 0)
+    ap4 = SearchConfig(
+        mono_family=fam([1], [2], [3]), rainbow_family=fam([1], [2], [3], role="rainbow"), n_limit=11
+    )
+    canon4 = canonical_number(ap4)
+    assert (canon4.canonical_number, canon4.nodes_expanded) == (None, 96517)
+    assert canon4.witness_free_per_length == (
+        1, 2, 5, 13, 41, 138, 432, 1398, 4773, 14473, 43896,
+    )
+    first = extremal_colourings(replace(ap4, n_limit=13), 13, limit=3)
+    assert first[-1].coordinate(1) == (0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 2, 1)
+
+
+def test_walk_matches_a_plain_recursive_walk():
+    # The walk decides rainbow probes by label bitsets and counts its last
+    # layer at the parent; the reference visits every node and asks the
+    # public witness scan.  Counts, nodes, kept colourings and the abort
+    # point must agree, with budgets that run out on the keep-th leaf, and
+    # on every node of one small rainbow walk.
+    rng = random.Random(20201019)
+    pool = ([], [1], [2], [-1], [0, 1], [1, 1], [3], [1], [2])
+    on_keep_th = 0
+    for trial in range(96):
+        members = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        if members and rng.random() < 0.3:
+            members.append(rng.choice(members))
+        rainbow = random_rainbow_family(rng, max_size=3, max_deg=2, coeff_abs=2)
+        cfg = SearchConfig(
+            mono_family=fam(*members),
+            rainbow_family=rainbow if not members or rng.random() < 0.7 else None,
+            h=trial % 3,
+            d_policy=D_POLICIES[trial % len(D_POLICIES)],
+            max_classes=(None, 1, 2, 3)[trial // 4 % 4],
+            n_limit=7,
+            self_check=trial % 5 == 0,
+        )
+        cap = rng.choice((1, 2, 3, 5, 6, 7, 7))
+        keep = (0, 1, 3, math.inf)[trial // 24]
+        counts, nodes, kept = _run_tree(cfg, cap, keep)
+        assert (counts, nodes, kept) == reference_walk(cfg, cap, keep), (cfg, cap, keep)
+        budgets = {nodes - 1, rng.randint(1, nodes)} - {0}
+        on_keep_th += len(kept) == keep and nodes > 1
+        for budget in budgets:
+            cut = replace(cfg, node_budget=budget)
+            assert _run_tree(cut, cap, keep) == reference_walk(cut, cap, keep), (cut, cap, keep)
+    assert on_keep_th > 10
+    ap3 = SearchConfig(mono_family=fam([1], [2]), rainbow_family=fam([1], [2], role="rainbow"))
+    nodes = _run_tree(ap3, 6, math.inf)[1]
+    for budget in range(1, nodes + 1):
+        cut = replace(ap3, node_budget=budget)
+        assert _run_tree(cut, 6, math.inf) == reference_walk(cut, 6, math.inf), budget
