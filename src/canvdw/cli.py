@@ -154,6 +154,8 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
         raise ValueError(f"--at-length must be positive, got {args.at_length}")
     if args.at_length > cfg.n_limit:
         raise ValueError(f"--at-length {args.at_length} exceeds --n-limit {cfg.n_limit}")
+    if args.at_length < cfg.n_start:
+        raise ValueError(f"--at-length {args.at_length} is below --n-start {cfg.n_start}")
     found = search.extremal_colourings(cfg, args.at_length, args.limit)
     text = "".join(" ".join(map(str, col.coordinate(1))) + "\n" for col in found)
     _write_out(args.out, text)

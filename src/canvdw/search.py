@@ -24,6 +24,8 @@ from .witness import (
     POLICY_NONZERO,
     admitted_steps,
     find_witness,
+    is_monochromatic,
+    is_rainbow,
     verify_certificate,
     witness_scanner,
 )
@@ -103,22 +105,53 @@ def _self_check(cfg: SearchConfig, colouring: TypedColouring) -> None:
         raise AssertionError(f"certificate for {colouring.coordinate(1)} failed: {verdict.reason}")
 
 
+def _probes(
+    cfg: SearchConfig, depth_cap: int
+) -> tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]], int]:
+    """The walk's probes, built once from the step scan's slots at depth_cap.
+
+    A probe is a witness whose largest element is the newest position, as
+    the bitmask of its other elements' distances back from that position.
+    Returns the mono masks and the rainbow (mask, distances) pairs, each
+    de-duplicated in step-scan order, rainbow sorted by mask and so by
+    reach, and the rainbow member count (0 without a rainbow probe).
+    Equal positions at one depth are equal distances, so a mono mask may
+    have fewer bits than the family has members, or none.
+    """
+    mono: dict[int, None] = {}
+    rain: dict[int, tuple[int, ...]] = {}
+    steps = admitted_steps(cfg.mono_family, cfg.rainbow_family, depth_cap, cfg.h, cfg.d_policy)
+    for _, step in steps:
+        for kind, offsets, _, _ in step:
+            dists = {max(offsets) - off for off in offsets} - {0}
+            mask = sum(1 << k for k in dists)
+            if kind == KIND_MONO:
+                mono[mask] = None
+            else:
+                rain[mask] = tuple(dists)
+    members = len(cfg.rainbow_family.polys) if rain else 0
+    return tuple(mono), sorted(rain.items()), members
+
+
 def _run_tree(
-    cfg: SearchConfig, depth_cap: int, keep: float = 0
+    cfg: SearchConfig, depth_cap: int, keep: float = 0, look_ahead: bool = False
 ) -> tuple[list[int] | None, int, list[tuple[int, ...]]]:
     """Walk the witness-free prefix tree to depth_cap.
 
     The walk is depth first with children in label order, so complete
     colourings appear in lexicographic canonical order.  It keeps its
     position in per-depth stacks rather than on the call stack, so depth
-    is not limited by recursion.
+    is not limited by recursion.  Returns (per-depth counts or None if the
+    budget ran out, nodes expanded, the first keep complete colourings in
+    lexicographic order).  The walk stops once it has kept keep of them.
 
-    A probe is a witness whose largest element is the newest position, as
-    the bitmask of its other elements' distances back from that position.
-    Its shape is the same at every depth, so the walk builds one probe set,
-    from the step scan's slots at depth_cap.  Position i is bit
-    depth_cap-1 - i of masks[c] while it has class c, so at depth t,
-    mv = masks[v] >> (depth_cap-1 - t) has bit k set iff the position k
+    This is the exact walk unless look_ahead is set; see _look_ahead_walk
+    for the other.  The exact walk visits every witness-free prefix, so
+    its counts hold for every length up to depth_cap.
+
+    The probes (see _probes) have the same shape at every depth.  Position
+    i is bit depth_cap-1 - i of masks[c] while it has class c, so at depth
+    t, mv = masks[v] >> (depth_cap-1 - t) has bit k set iff the position k
     back has label v, and no bit past t.  Child label v completes a mono
     probe pm iff mv & pm == pm: a probe reaching before position 0 has a
     bit mv lacks, and an empty pm, from a zero member, repeated members or
@@ -140,33 +173,17 @@ def _run_tree(
     gives one banned label per probe; the leaves are the labels in allow
     and not banned.  They still count one node each, and the walk stops
     on a budget or on the keep-th colouring exactly where a visit of each
-    leaf in label order would.  Returns (per-depth counts or None if the
-    budget ran out, nodes expanded, the first keep complete colourings in
-    lexicographic order).  The walk stops once it has kept keep of them.
+    leaf in label order would.
     """
-    # Probes de-duplicated in step-scan order; equal positions at one depth
-    # are equal distances.  A rainbow probe also keeps its distances.
-    mono: dict[int, None] = {}
-    rain: dict[int, tuple[int, ...]] = {}
-    steps = admitted_steps(cfg.mono_family, cfg.rainbow_family, depth_cap, cfg.h, cfg.d_policy)
-    for _, step in steps:
-        for kind, offsets, _, _ in step:
-            dists = {max(offsets) - off for off in offsets} - {0}
-            mask = sum(1 << k for k in dists)
-            if kind == KIND_MONO:
-                mono[mask] = None
-            else:
-                rain[mask] = tuple(dists)
-    mono_t = tuple(mono)
-    # Sorted by mask, so by reach: the probes that fit at a depth come first.
-    rain_t = sorted(rain.items())
-    members = len(cfg.rainbow_family.polys) if rain else 0
+    mono_t, rain_t, members = _probes(cfg, depth_cap)
+    if look_ahead:
+        return _look_ahead_walk(cfg, depth_cap, keep, mono_t, rain_t, members)
 
     self_check = cfg.self_check
     top = depth_cap - 1
     if top == 0:
         # One colouring of length 1, blocked only by an empty mono probe.
-        if 0 in mono:
+        if 0 in mono_t:
             if self_check:
                 _self_check(cfg, TypedColouring.single([0]))
             return [1, 0], 1, []
@@ -219,7 +236,7 @@ def _run_tree(
                 masks[v] |= bit
                 if v == u:
                     u += 1
-                if rain:
+                if rain_t:
                     bits[depth] = 1 << v
                     t = depth + 1
                     fits = 2 << t
@@ -272,6 +289,197 @@ def _run_tree(
     return counts, nodes, collected
 
 
+def _look_ahead_walk(
+    cfg: SearchConfig,
+    depth_cap: int,
+    keep: float,
+    mono_t: tuple[int, ...],
+    rain_t: list[tuple[int, tuple[int, ...]]],
+    members: int,
+) -> tuple[list[int] | None, int, list[tuple[int, ...]]]:
+    """_run_tree's look-ahead mode: the same depth-first walk in label
+    order, which also cuts a prefix as soon as some later position up to
+    depth_cap has no label left.  Such a prefix has no witness-free
+    completion, so the count at depth_cap, the kept colourings and their
+    order are the exact walk's, while shorter lengths count only the
+    prefixes that survived.
+
+    avail[j] is the set of labels no probe forbids at position j, -1
+    (every label) when uncapped and nothing is forbidden.  A probe's
+    nearest other element lies low = (pm & -pm).bit_length() - 1 before
+    its completing position, so placing v at t settles exactly the probes
+    that complete at j = t + low and have every other element at or before
+    t.  A mono probe whose other elements all hold v removes v from
+    avail[j].  An open rainbow probe ANDs avail[j] with the OR of its
+    labels, which removes every fresh label too.  Uncapped, mono removals
+    alone never empty avail[j], since its fresh labels stay; a rainbow
+    probe can.  A placement that changes avail first saves the span of it
+    that the probes reach, and restores it when the label is undone.
+
+    A node is a label placed at a position; a label avail already rules
+    out there is never tried and is no node.  The leaves below a node at
+    depth depth_cap-1 are the labels avail leaves at the last position,
+    counted at their parent one node each, so the walk stops on a budget
+    or on the keep-th colouring where a visit in label order would.  Under
+    self_check, every label the walk rules out without placing it, and
+    every label of a position it empties, is confirmed by _check_cut.
+    """
+    top = depth_cap - 1
+    full = -1 if cfg.max_classes is None else cfg.max_classes
+    budget = math.inf if cfg.node_budget is None else cfg.node_budget
+    self_check = cfg.self_check
+    counts = [1] + [0] * depth_cap
+    if 0 in mono_t:
+        # An empty mono probe forbids every label at every position.
+        if self_check:
+            _check_cut(mono_t, rain_t, [], 0, [0])
+        return counts, 0, []
+    if top == 0:
+        return [1, 1], 1, [(0,)] if keep else []
+    mono_fw = sorted(((pm & -pm).bit_length() - 1, pm) for pm in mono_t)
+    rain_fw = sorted(((pm & -pm).bit_length() - 1, pm, ks) for pm, ks in rain_t)
+    reach = max((probe[0] for probe in mono_fw + rain_fw), default=0)
+    avail = [-1 if full < 0 else (1 << full) - 1] * depth_cap
+    collected: list[tuple[int, ...]] = []
+    # labels[:depth] is the current prefix; used[depth] the classes it uses,
+    # cands[depth] the labels still to place at depth, and saved[depth] the
+    # span of avail as it was before the placement at depth changed it, or
+    # () if that placement changed nothing.
+    labels = [0] * depth_cap
+    used = [0] * depth_cap
+    cands = [0] * depth_cap
+    saved: list = [()] * depth_cap
+    masks = [0] * depth_cap
+    bits = [0] * depth_cap
+    cands[0] = 1
+    nodes = 0
+    depth = 0
+    while True:
+        c = cands[depth]
+        if not c:
+            if depth == 0:
+                break
+            depth -= 1
+            masks[labels[depth]] ^= 1 << (top - depth)
+            sv = saved[depth]
+            avail[depth + 1 : depth + 1 + len(sv)] = sv
+            continue
+        b = c & -c
+        cands[depth] = c ^ b
+        v = b.bit_length() - 1
+        nodes += 1
+        if nodes > budget:
+            return None, nodes, []
+        labels[depth] = v
+        bits[depth] = b
+        s = top - depth
+        mv = masks[v] = masks[v] | 1 << s
+        sv = ()
+        cut = -1
+        for low, pm in mono_fw:
+            if low > s:
+                break
+            if mv >> (s - low) & pm == pm:
+                j = depth + low
+                a = avail[j]
+                if a >> v & 1:
+                    if not sv:
+                        sv = avail[depth + 1 : depth + 1 + reach]
+                    avail[j] = a = a ^ b
+                    if not a:
+                        cut = j
+                        break
+        if cut < 0 and members:
+            for low, pm, ks in rain_fw:
+                if low > s:
+                    break
+                j = depth + low
+                if pm >= 2 << j:
+                    continue
+                seen = 0
+                for k in ks:
+                    seen |= bits[j - k]
+                if seen.bit_count() == members:
+                    a = avail[j]
+                    if a & ~seen:
+                        if not sv:
+                            sv = avail[depth + 1 : depth + 1 + reach]
+                        avail[j] = a = a & seen
+                        if not a:
+                            cut = j
+                            break
+        u = used[depth]
+        if v == u:
+            u += 1
+        lim = u if u == full else u + 1
+        if cut >= 0:
+            if self_check:
+                _check_cut(mono_t, rain_t, labels[: depth + 1], cut, range(lim))
+            masks[v] = mv ^ 1 << s
+            avail[depth + 1 : depth + 1 + len(sv)] = sv
+            continue
+        counts[depth + 1] += 1
+        free = avail[depth + 1] & ((1 << lim) - 1)
+        if self_check:
+            ruled_out = [w for w in range(lim) if not free >> w & 1]
+            _check_cut(mono_t, rain_t, labels[: depth + 1], depth + 1, ruled_out)
+        if depth + 1 < top:
+            saved[depth] = sv
+            depth += 1
+            used[depth] = u
+            cands[depth] = free
+            continue
+        # The children are leaves: count them here.
+        if keep:
+            for w in range(lim):
+                if free >> w & 1:
+                    collected.append((*labels[:top], w))
+                    if len(collected) == keep:
+                        free &= (2 << w) - 1
+                        break
+        nodes += free.bit_count()
+        if nodes > budget:
+            return None, budget + 1, []
+        counts[depth_cap] += free.bit_count()
+        if keep and len(collected) == keep:
+            break
+        masks[v] = mv ^ 1 << s
+        avail[depth + 1 : depth + 1 + len(sv)] = sv
+    return counts, nodes, collected
+
+
+def _check_cut(
+    mono_t: tuple[int, ...],
+    rain_t: list[tuple[int, tuple[int, ...]]],
+    prefix: list[int],
+    j: int,
+    ruled_out: range | list[int],
+) -> None:
+    # The look-ahead walk claims that no label in ruled_out fits at
+    # position j (0-based) after prefix.  Name, for each label, a probe
+    # that completes at j and has every other element in prefix, and
+    # confirm it with the public predicates on the prefix, a gap of label
+    # 0 and the label at j.  A label the prefix does not use stands for
+    # every fresh label: no probe tells fresh labels apart.
+    t = len(prefix)
+    base = prefix + [0] * (j - t)
+    shapes = [(pm, [k for k in range(pm.bit_length()) if pm >> k & 1], False) for pm in mono_t]
+    shapes += [(pm, list(ks), True) for pm, ks in rain_t]
+    for w in ruled_out:
+        colouring = TypedColouring.single(base + [w])
+        for pm, dists, rainbow in shapes:
+            if pm >= 2 << j or (pm and min(dists) <= j - t):
+                continue
+            elems = tuple(j + 1 - k for k in [0, *dists])
+            if is_rainbow(colouring, elems) if rainbow else is_monochromatic(colouring, elems):
+                break
+        else:
+            raise AssertionError(
+                f"look-ahead ruled out label {w} at position {j + 1} after {tuple(prefix)}"
+                " with no probe that forbids it"
+            )
+
+
 def canonical_number(cfg: SearchConfig) -> SearchResult:
     """Least length in [n_start, n_limit] all of whose canonical colourings
     contain a witness, found by pruned depth-first search.
@@ -299,13 +507,18 @@ def canonical_number(cfg: SearchConfig) -> SearchResult:
 
 def extremal_colourings(cfg: SearchConfig, length: int, limit: int | None = None) -> list[TypedColouring]:
     """Witness-free canonical colourings of the given length in
-    lexicographic order, up to limit.  Raises EnumerationCapExceeded if the
-    walk runs out of node budget first, since its list would be partial."""
+    lexicographic order, up to limit.
+
+    The question is about one length, so the walk runs in look-ahead mode:
+    it cuts every prefix that leaves some position up to length with no
+    label, and the node budget counts its nodes, not the exact walk's.
+    Raises EnumerationCapExceeded if the walk runs out of node budget
+    first, since its list would be partial."""
     if not 1 <= length <= cfg.n_limit:
         raise ValueError(f"length {length} outside 1..{cfg.n_limit}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    counts, _, collected = _run_tree(cfg, length, math.inf if limit is None else limit)
+    counts, _, collected = _run_tree(cfg, length, math.inf if limit is None else limit, look_ahead=True)
     if counts is None:
         raise EnumerationCapExceeded(f"search exceeded its node budget of {cfg.node_budget}")
     return [TypedColouring.single(labels) for labels in collected]

@@ -239,6 +239,10 @@ def test_extremal(files, capsys):
     ):
         code, out, err = run(capsys, "extremal", "--mono", mono, "--at-length", length)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, err = run(
+        capsys, "extremal", "--mono", mono, "--max-classes", "2", "--at-length", "8", "--n-start", "9",
+    )
+    assert (code, out, err) == (2, "", "error: --at-length 8 is below --n-start 9\n")
 
 
 def test_hvalue_and_weight(files, capsys):

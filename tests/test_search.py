@@ -78,6 +78,13 @@ def test_extremal_colourings():
     with pytest.raises(EnumerationCapExceeded):
         extremal_colourings(replace(W32, node_budget=20), 9)
     assert extremal_colourings(replace(W32, node_budget=10_000), 8) == longest
+    # The budget counts the look-ahead walk's nodes: 33 at length 8 and 29
+    # at length 9, where the exact walk takes 73 and 79.
+    assert extremal_colourings(replace(W32, node_budget=33), 8) == longest
+    assert extremal_colourings(replace(W32, node_budget=29), 9) == []
+    for length, nodes in ((8, 33), (9, 29)):
+        with pytest.raises(EnumerationCapExceeded, match=f"node budget of {nodes - 1}"):
+            extremal_colourings(replace(W32, node_budget=nodes - 1), length)
 
 
 def test_quadratic_families():
@@ -457,3 +464,88 @@ def test_walk_matches_a_plain_recursive_walk():
     for budget in range(1, nodes + 1):
         cut = replace(ap3, node_budget=budget)
         assert _run_tree(cut, 6, math.inf) == reference_walk(cut, 6, math.inf), budget
+
+
+def test_look_ahead_keeps_what_the_exact_walk_keeps():
+    # The look-ahead walk cuts a prefix once some later position has no
+    # label left.  Against the plain recursive walk it must keep the same
+    # colourings in the same order and count the same at depth_cap, on no
+    # more nodes, and a budget one short of its own count must abort.
+    rng = random.Random(20261019)
+    pool = ([], [1], [2], [-1], [0, 1], [1, 1], [3], [1], [2])
+    fewer = 0
+    for trial in range(96):
+        members = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        if members and rng.random() < 0.3:
+            members.append(rng.choice(members))
+        rainbow = random_rainbow_family(rng, max_size=3, max_deg=2, coeff_abs=2)
+        cfg = SearchConfig(
+            mono_family=fam(*members),
+            rainbow_family=rainbow if not members or rng.random() < 0.7 else None,
+            h=trial % 3,
+            d_policy=D_POLICIES[trial % len(D_POLICIES)],
+            max_classes=(None, 1, 2, 3)[trial // 4 % 4],
+            n_limit=8,
+            self_check=trial % 5 == 0,
+        )
+        cap = rng.randint(1, 8)
+        keep = (1, 3, math.inf)[trial // 32]
+        ref_counts, ref_nodes, ref_kept = reference_walk(cfg, cap, keep)
+        counts, nodes, kept = _run_tree(cfg, cap, keep, look_ahead=True)
+        assert (kept, counts[cap]) == (ref_kept, ref_counts[cap]), (cfg, cap, keep)
+        assert nodes <= ref_nodes, (cfg, cap, keep)
+        fewer += nodes < ref_nodes
+        limit = None if keep == math.inf else keep
+        found = extremal_colourings(replace(cfg, node_budget=max(nodes, 1)), cap, limit)
+        assert [c.coordinate(1) for c in found] == kept
+        if nodes > 1:
+            with pytest.raises(EnumerationCapExceeded):
+                extremal_colourings(replace(cfg, node_budget=nodes - 1), cap, limit)
+    assert fewer > 20
+
+
+def test_look_ahead_on_classical_instances():
+    # Both walks keep the same colourings in the same order; the node
+    # counts of each are pinned.
+    w33 = SearchConfig(mono_family=fam([1], [2]), max_classes=3, n_limit=26)
+    w42 = SearchConfig(mono_family=fam([1], [2], [3]), max_classes=2, n_limit=34)
+    ap3 = SearchConfig(mono_family=fam([1], [2]), rainbow_family=fam([1], [2], role="rainbow"))
+    ap4 = SearchConfig(
+        mono_family=fam([1], [2], [3]), rainbow_family=fam([1], [2], [3], role="rainbow"), n_limit=13
+    )
+    for cfg, length, keep, kept, exact_nodes, ahead_nodes in (
+        (w33, 26, math.inf, 8, 337616, 30962),
+        (w42, 34, math.inf, 14, 20323, 4938),
+        (ap3, 8, math.inf, 10, 167, 61),
+        (ap3, 9, math.inf, 0, 205, 55),
+        (ap4, 13, 3, 3, 22, 16),
+        (ap4, 13, 1000, 1000, 2290, 1553),
+    ):
+        exact = _run_tree(cfg, length, keep)
+        ahead = _run_tree(cfg, length, keep, look_ahead=True)
+        assert ahead[2] == exact[2] and len(exact[2]) == kept, (cfg, length)
+        assert (exact[1], ahead[1]) == (exact_nodes, ahead_nodes), (cfg, length)
+    # Under self_check every cut of a rainbow walk is named and confirmed.
+    checked = extremal_colourings(replace(ap3, self_check=True), 8)
+    assert checked == extremal_colourings(ap3, 8)
+
+
+def test_self_check_confirms_look_ahead_cuts(monkeypatch):
+    # Each label the look-ahead rules out must be confirmed by the public
+    # mono or rainbow predicate; one that says no must stop the walk.
+    ap3 = SearchConfig(
+        mono_family=fam([1], [2]), rainbow_family=fam([1], [2], role="rainbow"), self_check=True
+    )
+    for name, liar, cfg in (
+        ("is_monochromatic", lambda *args: None, replace(W32, self_check=True)),
+        ("is_rainbow", lambda *args: False, ap3),
+        ("is_monochromatic", lambda *args: None, replace(ap3, mono_family=fam([0]))),
+    ):
+        plain = replace(cfg, self_check=False)
+        honest = extremal_colourings(plain, 8)
+        with monkeypatch.context() as patch:
+            patch.setattr(canvdw.search, name, liar)
+            with pytest.raises(AssertionError, match=r"ruled out label \d+ at position \d+ after \("):
+                extremal_colourings(cfg, 8)
+            # Without self_check the walk never asks the predicates.
+            assert extremal_colourings(plain, 8) == honest
