@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .coloring import TypedColouring, restricted_growth_strings
 from .polynomial import PolynomialFamily
@@ -528,8 +529,10 @@ def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
     """Independent oracle for canonical_number by brute force.
 
     Enumerates every canonical colouring of every length, as its
-    restricted-growth string, and runs the full witness scanner on each; no
-    pruning, no sharing of work between lengths.
+    restricted-growth string.  Each string is first tested against the last
+    witness the scanner found at that length; only a miss runs the full
+    witness scanner, and a string is witness-free only when that scan finds
+    nothing.  No pruning, no sharing of work between lengths.
     Refuses to enumerate more than node_budget colourings (or a built-in cap
     when no budget is set).
     """
@@ -542,15 +545,24 @@ def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
         free = 0
         scan = witness_scanner(cfg.mono_family, cfg.rainbow_family, length, cfg.h, cfg.d_policy)
         self_check = cfg.self_check
+        # The last witness scan found at this length, as the scanner's own
+        # column picker and count of distinct labels; neighbouring strings
+        # share all but their last labels, so it mostly hits the next one.
+        pick, want = None, 0
         for labels in restricted_growth_strings(length, cfg.max_classes):
             examined += 1
             if examined > cap:
                 raise EnumerationCapExceeded(
                     f"naive engine exceeded its enumeration cap of {cap}"
                 )
-            if scan(labels) is None:
-                free += 1
-            elif self_check:
+            if pick is None or len(set(pick(labels))) != want:
+                hit = scan(labels)
+                if hit is None:
+                    free += 1
+                    continue
+                pick = itemgetter(*(e - 1 for e in hit.elements))
+                want = 1 if hit.kind == KIND_MONO else len(hit.elements)
+            if self_check:
                 _self_check(cfg, TypedColouring.single(labels))
         return free
 

@@ -8,6 +8,7 @@ import pytest
 
 import canvdw.coloring
 import canvdw.search
+from canvdw.coloring import TypedColouring, restricted_growth_strings
 from canvdw.search import (
     EnumerationCapExceeded,
     SearchConfig,
@@ -19,7 +20,7 @@ from canvdw.search import (
 )
 from canvdw.witness import D_POLICIES, VerifyResult, find_witness
 
-from _helpers import fam, random_rainbow_family, reference_walk
+from _helpers import fam, random_rainbow_family, reference_first_witness, reference_walk
 
 LINEAR = SearchConfig(mono_family=fam([1]), rainbow_family=fam([1], role="rainbow"))
 W32 = SearchConfig(mono_family=fam([1], [2]), max_classes=2)
@@ -215,31 +216,105 @@ def test_self_check_catches_a_lying_scanner_or_verifier(monkeypatch):
 
 def test_naive_engine_certifies_only_under_self_check(monkeypatch):
     serialized = []
+    found = []
     verified = []
     serialize = canvdw.coloring.serialize
+    find = canvdw.search.find_witness
     verify = canvdw.search.verify_certificate
 
     def counting_serialize(colouring):
         serialized.append(colouring)
         return serialize(colouring)
 
+    def counting_find(colouring, *args):
+        found.append(colouring)
+        return find(colouring, *args)
+
     def counting_verify(colouring, cert):
         verified.append(colouring)
         return verify(colouring, cert)
 
     monkeypatch.setattr(canvdw.coloring, "serialize", counting_serialize)
+    monkeypatch.setattr(canvdw.search, "find_witness", counting_find)
     monkeypatch.setattr(canvdw.search, "verify_certificate", counting_verify)
-    for cfg in (LINEAR, W32):
+    ap3 = SearchConfig(
+        mono_family=fam([1], [2]), rainbow_family=fam([1], [2], role="rainbow"), n_limit=8
+    )
+    for cfg in (LINEAR, W32, ap3):
         serialized.clear()
+        found.clear()
         verified.clear()
         res = naive_canonical_number(cfg)
-        assert serialized == [] and verified == []
+        assert serialized == [] and found == [] and verified == []
         checked = naive_canonical_number(replace(cfg, self_check=True))
         assert checked == replace(res, wall_time=checked.wall_time)
-        # One verified certificate per colouring that has a witness.
+        # One certified colouring per string that has a witness, whether the
+        # last witness found hit it or the scan did.
         with_witness = res.nodes_expanded - sum(res.witness_free_per_length)
-        assert len(verified) == len(set(verified)) == with_witness > 0
+        assert len(found) == len(verified) == len(set(verified)) == with_witness > 0
         assert len(serialized) == with_witness
+
+
+def _plain_naive(cfg):
+    # The naive engine's count written out with no plan and no hint: each
+    # restricted-growth string is judged by reference_first_witness.
+    examined = 0
+
+    def free(length):
+        nonlocal examined
+        strings = list(restricted_growth_strings(length, cfg.max_classes))
+        examined += len(strings)
+        return sum(
+            reference_first_witness(
+                TypedColouring.single(s), cfg.mono_family, cfg.rainbow_family, cfg.h, cfg.d_policy
+            ) is None
+            for s in strings
+        )
+
+    prev = 1 if cfg.n_start == 1 else free(cfg.n_start - 1)
+    per_length = []
+    for length in range(cfg.n_start, cfg.n_limit + 1):
+        per_length.append(free(length))
+        if per_length[-1] == 0:
+            return length, prev, examined, tuple(per_length)
+        prev = per_length[-1]
+    return None, prev, examined, tuple(per_length)
+
+
+def test_naive_engine_matches_a_plain_count_on_random_families():
+    # Seeded random families, mono with zero and repeated members, both
+    # kinds with negative coefficients, under every policy, h and class
+    # cap, some from lengths past 1.
+    rng = random.Random(20201019)
+    pool = ([], [1], [1], [2], [3], [-1], [-2], [0, 1], [1, -2], [-1, 0, 1])
+    caps = (None, 1, 2, 3)
+    numbers = set()
+    for trial in range(96):
+        members = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            members.append(rng.choice(([], rng.choice(members), rng.choice(members))))
+        rainbow = random_rainbow_family(rng, max_size=2, max_deg=2, coeff_abs=2)
+        shape = rng.randrange(3)
+        n_limit = rng.randint(4, 7)
+        cfg = SearchConfig(
+            mono_family=None if shape == 2 else fam(*members),
+            rainbow_family=None if shape == 1 else rainbow,
+            h=trial % 3,
+            d_policy=D_POLICIES[trial % len(D_POLICIES)],
+            max_classes=caps[trial // 4 % len(caps)],
+            n_start=rng.randint(2, n_limit) if trial % 2 else 1,
+            n_limit=n_limit,
+        )
+        res = naive_canonical_number(cfg)
+        got = (
+            res.canonical_number,
+            res.extremal_count_at_nminus1,
+            res.nodes_expanded,
+            res.witness_free_per_length,
+        )
+        assert got == _plain_naive(cfg), cfg
+        numbers.add(res.canonical_number)
+    assert None in numbers and len(numbers) > 3
 
 
 def test_unfound_number_is_reported_as_exhausted():
