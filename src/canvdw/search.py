@@ -134,29 +134,23 @@ def _probes(
     return tuple(mono), sorted(rain.items()), members
 
 
-def _run_tree(
-    cfg: SearchConfig, depth_cap: int, keep: float = 0, look_ahead: bool = False
-) -> tuple[list[int] | None, int, list[tuple[int, ...]]]:
-    """Walk the witness-free prefix tree to depth_cap.
+def _run_tree(cfg: SearchConfig) -> tuple[list[int] | None, int]:
+    """The exact walk: every witness-free prefix up to length cfg.n_limit.
 
-    The walk is depth first with children in label order, so complete
-    colourings appear in lexicographic canonical order.  It keeps its
+    The walk is depth first with children in label order.  It keeps its
     position in per-depth stacks rather than on the call stack, so depth
-    is not limited by recursion.  Returns (per-depth counts or None if the
-    budget ran out, nodes expanded, the first keep complete colourings in
-    lexicographic order).  The walk stops once it has kept keep of them.
-
-    This is the exact walk unless look_ahead is set; see _look_ahead_walk
-    for the other.  The exact walk visits every witness-free prefix, so
-    its counts hold for every length up to depth_cap.
+    is not limited by recursion.  Returns (per-length counts, or None if
+    the budget ran out; nodes expanded).  It visits every witness-free
+    prefix, so its counts hold for every length up to n_limit;
+    _look_ahead_walk answers the one-length question instead.
 
     The probes (see _probes) have the same shape at every depth.  Position
-    i is bit depth_cap-1 - i of masks[c] while it has class c, so at depth
-    t, mv = masks[v] >> (depth_cap-1 - t) has bit k set iff the position k
-    back has label v, and no bit past t.  Child label v completes a mono
-    probe pm iff mv & pm == pm: a probe reaching before position 0 has a
-    bit mv lacks, and an empty pm, from a zero member, repeated members or
-    d = 0, always blocks.
+    i is bit top - i of masks[c] while it has class c, top = n_limit - 1,
+    so at depth t, mv = masks[v] >> (top - t) has bit k set iff the
+    position k back has label v, and no bit past t.  Child label v
+    completes a mono probe pm iff mv & pm == pm: a probe reaching before
+    position 0 has a bit mv lacks, and an empty pm, from a zero member,
+    repeated members or d = 0, always blocks.
 
     Rainbow blocking is one bitset of allowed labels per depth.  Position i
     also holds the bit 1 << labels[i].  On entering depth t the walk ORs
@@ -168,18 +162,15 @@ def _run_tree(
     is open, and child v is blocked iff bit v of allow is clear.  A fresh
     label is in no OR, so it is blocked iff some probe is open.
 
-    The children of a node at depth depth_cap-1 are leaves, so the walk
-    counts them at their parent instead of visiting each.  A nonzero mono
+    The children of a node at depth top are leaves, so the walk counts
+    them at their parent instead of visiting each.  A nonzero mono
     probe can complete only with the label of its nearest position, which
     gives one banned label per probe; the leaves are the labels in allow
     and not banned.  They still count one node each, and the walk stops
-    on a budget or on the keep-th colouring exactly where a visit of each
-    leaf in label order would.
+    on a budget exactly where a visit of each leaf in label order would.
     """
+    depth_cap = cfg.n_limit
     mono_t, rain_t, members = _probes(cfg, depth_cap)
-    if look_ahead:
-        return _look_ahead_walk(cfg, depth_cap, keep, mono_t, rain_t, members)
-
     self_check = cfg.self_check
     top = depth_cap - 1
     if top == 0:
@@ -187,8 +178,8 @@ def _run_tree(
         if 0 in mono_t:
             if self_check:
                 _self_check(cfg, TypedColouring.single([0]))
-            return [1, 0], 1, []
-        return [1, 1], 1, [(0,)] if keep else []
+            return [1, 0], 1
+        return [1, 1], 1
     # The mono probes that fit at the last depth, with the position of
     # their nearest element there.  No node survives an empty probe.
     last = [(pm, top - (pm & -pm).bit_length() + 1) for pm in mono_t if 0 < pm < 2 << top]
@@ -198,7 +189,6 @@ def _run_tree(
     budget = math.inf if cfg.node_budget is None else cfg.node_budget
     counts = [0] * (depth_cap + 1)
     counts[0] = 1
-    collected: list[tuple[int, ...]] = []
     # labels[:depth] is the current prefix, using used[depth] classes;
     # labels[depth] is the last label tried at position depth.  bits[i] is
     # 1 << labels[i], kept only for a rainbow family, and allows[depth] the
@@ -224,7 +214,7 @@ def _run_tree(
         labels[depth] = v
         nodes += 1
         if nodes > budget:
-            return None, nodes, []
+            return None, nodes
         mv = masks[v] >> (top - depth)
         for pm in mono_t:
             if mv & pm == pm:
@@ -264,14 +254,6 @@ def _run_tree(
                     if masks[w] & pm == pm:
                         ban |= 1 << w
                 free = nxt & ~ban & ((1 << lim) - 1)
-                if keep:
-                    for w in range(lim):
-                        if free >> w & 1:
-                            collected.append((*labels[:top], w))
-                            if len(collected) == keep:
-                                lim = w + 1
-                                free &= (2 << w) - 1
-                                break
                 if self_check:
                     # The blocked leaves a visit would reach before the budget.
                     for w in range(min(lim, budget - nodes)):
@@ -279,31 +261,25 @@ def _run_tree(
                             _self_check(cfg, TypedColouring.single(labels[:top] + [w]))
                 nodes += lim
                 if nodes > budget:
-                    return None, budget + 1, []
+                    return None, budget + 1
                 counts[depth_cap] += free.bit_count()
-                if keep and len(collected) == keep:
-                    break
                 masks[v] ^= bit
                 continue
         if self_check:
             _self_check(cfg, TypedColouring.single(labels[: depth + 1]))
-    return counts, nodes, collected
+    return counts, nodes
 
 
 def _look_ahead_walk(
-    cfg: SearchConfig,
-    depth_cap: int,
-    keep: float,
-    mono_t: tuple[int, ...],
-    rain_t: list[tuple[int, tuple[int, ...]]],
-    members: int,
-) -> tuple[list[int] | None, int, list[tuple[int, ...]]]:
-    """_run_tree's look-ahead mode: the same depth-first walk in label
-    order, which also cuts a prefix as soon as some later position up to
-    depth_cap has no label left.  Such a prefix has no witness-free
-    completion, so the count at depth_cap, the kept colourings and their
-    order are the exact walk's, while shorter lengths count only the
-    prefixes that survived.
+    cfg: SearchConfig, depth_cap: int, limit: int | None
+) -> tuple[list[tuple[int, ...]] | None, int]:
+    """The look-ahead walk: the exact walk's depth-first order, which also
+    cuts a prefix as soon as some later position up to depth_cap has no
+    label left.  Such a prefix has no witness-free completion, so the
+    colourings of length depth_cap and their order are the exact walk's.
+    Returns (the first limit of them in lexicographic order, all when
+    limit is None, or None if the budget ran out; nodes expanded).  The
+    walk stops once it has kept limit of them.
 
     avail[j] is the set of labels no probe forbids at position j, -1
     (every label) when uncapped and nothing is forbidden.  A probe's
@@ -321,27 +297,27 @@ def _look_ahead_walk(
     out there is never tried and is no node.  The leaves below a node at
     depth depth_cap-1 are the labels avail leaves at the last position,
     counted at their parent one node each, so the walk stops on a budget
-    or on the keep-th colouring where a visit in label order would.  Under
+    or on the limit-th colouring where a visit in label order would.  Under
     self_check, every label the walk rules out without placing it, and
     every label of a position it empties, is confirmed by _check_cut.
     """
+    mono_t, rain_t, members = _probes(cfg, depth_cap)
     top = depth_cap - 1
     full = -1 if cfg.max_classes is None else cfg.max_classes
     budget = math.inf if cfg.node_budget is None else cfg.node_budget
     self_check = cfg.self_check
-    counts = [1] + [0] * depth_cap
     if 0 in mono_t:
         # An empty mono probe forbids every label at every position.
         if self_check:
             _check_cut(mono_t, rain_t, [], 0, [0])
-        return counts, 0, []
+        return [], 0
     if top == 0:
-        return [1, 1], 1, [(0,)] if keep else []
+        return [(0,)], 1
     mono_fw = sorted(((pm & -pm).bit_length() - 1, pm) for pm in mono_t)
     rain_fw = sorted(((pm & -pm).bit_length() - 1, pm, ks) for pm, ks in rain_t)
     reach = max((probe[0] for probe in mono_fw + rain_fw), default=0)
     avail = [-1 if full < 0 else (1 << full) - 1] * depth_cap
-    collected: list[tuple[int, ...]] = []
+    kept: list[tuple[int, ...]] = []
     # labels[:depth] is the current prefix; used[depth] the classes it uses,
     # cands[depth] the labels still to place at depth, and saved[depth] the
     # span of avail as it was before the placement at depth changed it, or
@@ -370,7 +346,7 @@ def _look_ahead_walk(
         v = b.bit_length() - 1
         nodes += 1
         if nodes > budget:
-            return None, nodes, []
+            return None, nodes
         labels[depth] = v
         bits[depth] = b
         s = top - depth
@@ -419,7 +395,6 @@ def _look_ahead_walk(
             masks[v] = mv ^ 1 << s
             avail[depth + 1 : depth + 1 + len(sv)] = sv
             continue
-        counts[depth + 1] += 1
         free = avail[depth + 1] & ((1 << lim) - 1)
         if self_check:
             ruled_out = [w for w in range(lim) if not free >> w & 1]
@@ -430,23 +405,21 @@ def _look_ahead_walk(
             used[depth] = u
             cands[depth] = free
             continue
-        # The children are leaves: count them here.
-        if keep:
-            for w in range(lim):
-                if free >> w & 1:
-                    collected.append((*labels[:top], w))
-                    if len(collected) == keep:
-                        free &= (2 << w) - 1
-                        break
+        # The children are leaves: keep them here.
+        for w in range(lim):
+            if free >> w & 1:
+                kept.append((*labels[:top], w))
+                if len(kept) == limit:
+                    free &= (2 << w) - 1
+                    break
         nodes += free.bit_count()
         if nodes > budget:
-            return None, budget + 1, []
-        counts[depth_cap] += free.bit_count()
-        if keep and len(collected) == keep:
+            return None, budget + 1
+        if len(kept) == limit:
             break
         masks[v] = mv ^ 1 << s
         avail[depth + 1 : depth + 1 + len(sv)] = sv
-    return counts, nodes, collected
+    return kept, nodes
 
 
 def _check_cut(
@@ -491,7 +464,7 @@ def canonical_number(cfg: SearchConfig) -> SearchResult:
     so one tree walk settles every length at once.
     """
     t0 = time.perf_counter()
-    counts, nodes, _ = _run_tree(cfg, cfg.n_limit)
+    counts, nodes = _run_tree(cfg)
     wall = time.perf_counter() - t0
     if counts is None:
         return SearchResult(None, 0, nodes, wall, (), "pruned")
@@ -510,7 +483,7 @@ def extremal_colourings(cfg: SearchConfig, length: int, limit: int | None = None
     """Witness-free canonical colourings of the given length in
     lexicographic order, up to limit.
 
-    The question is about one length, so the walk runs in look-ahead mode:
+    The question is about one length, so this runs the look-ahead walk:
     it cuts every prefix that leaves some position up to length with no
     label, and the node budget counts its nodes, not the exact walk's.
     Raises EnumerationCapExceeded if the walk runs out of node budget
@@ -519,10 +492,10 @@ def extremal_colourings(cfg: SearchConfig, length: int, limit: int | None = None
         raise ValueError(f"length {length} outside 1..{cfg.n_limit}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    counts, _, collected = _run_tree(cfg, length, math.inf if limit is None else limit, look_ahead=True)
-    if counts is None:
+    kept, _ = _look_ahead_walk(cfg, length, limit)
+    if kept is None:
         raise EnumerationCapExceeded(f"search exceeded its node budget of {cfg.node_budget}")
-    return [TypedColouring.single(labels) for labels in collected]
+    return [TypedColouring.single(labels) for labels in kept]
 
 
 def naive_canonical_number(cfg: SearchConfig) -> SearchResult:

@@ -86,21 +86,24 @@ def reference_first_witness(
     return None
 
 
-def reference_walk(cfg, depth_cap: int, keep: float = 0):
+def reference_walk(cfg, depth_cap: int, limit: int | None = None):
     """The pruned walk written as plain recursion over canonical prefixes,
     children in label order: a child is blocked iff reference_first_witness
     finds a witness in the prefix with the child appended, and every child
-    tried, leaves included, is one node.  Returns what _run_tree returns:
-    (counts per length or None, nodes, the first keep colourings), with
-    (None, node_budget + 1, []) once the node budget runs out.  Shares no
-    probe, mask or bitset with the library walk."""
+    tried, leaves included, is one node.  Returns (counts per length, nodes,
+    the first limit colourings of length depth_cap, all when limit is
+    None), stopping once it has limit of them, or (None, node_budget + 1,
+    []) once the node budget runs out.  Its counts and nodes are what
+    _run_tree returns at n_limit = depth_cap, and its colourings what
+    _look_ahead_walk keeps.  Shares no probe, mask or bitset with the
+    library walks."""
     budget = cfg.node_budget
     counts = [1] + [0] * depth_cap
     collected: list[tuple[int, ...]] = []
     nodes = 0
 
     def visit(prefix: list[int], classes: int) -> bool:
-        # True once the walk must stop: the budget ran out or keep is met.
+        # True once the walk must stop: the budget ran out or limit is met.
         nonlocal nodes
         fresh = cfg.max_classes is None or classes < cfg.max_classes
         for v in range(classes + 1 if fresh else classes):
@@ -117,9 +120,9 @@ def reference_walk(cfg, depth_cap: int, keep: float = 0):
             if len(child) < depth_cap:
                 if visit(child, max(classes, v + 1)):
                     return True
-            elif keep:
+            else:
                 collected.append(tuple(child))
-                if len(collected) == keep:
+                if len(collected) == limit:
                     return True
         return False
 

@@ -1,5 +1,5 @@
+import hashlib
 import json
-import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -12,6 +12,7 @@ from canvdw.coloring import TypedColouring, restricted_growth_strings
 from canvdw.search import (
     EnumerationCapExceeded,
     SearchConfig,
+    _look_ahead_walk,
     _run_tree,
     canonical_number,
     extremal_colourings,
@@ -504,12 +505,10 @@ def test_exact_walks_of_classical_instances():
 def test_walk_matches_a_plain_recursive_walk():
     # The walk decides rainbow probes by label bitsets and counts its last
     # layer at the parent; the reference visits every node and asks the
-    # public witness scan.  Counts, nodes, kept colourings and the abort
-    # point must agree, with budgets that run out on the keep-th leaf, and
-    # on every node of one small rainbow walk.
+    # public witness scan.  Counts, nodes and the abort point must agree,
+    # also with a budget at every node of one small rainbow walk.
     rng = random.Random(20201019)
     pool = ([], [1], [2], [-1], [0, 1], [1, 1], [3], [1], [2])
-    on_keep_th = 0
     for trial in range(96):
         members = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
         if members and rng.random() < 0.3:
@@ -525,30 +524,28 @@ def test_walk_matches_a_plain_recursive_walk():
             self_check=trial % 5 == 0,
         )
         cap = rng.choice((1, 2, 3, 5, 6, 7, 7))
-        keep = (0, 1, 3, math.inf)[trial // 24]
-        counts, nodes, kept = _run_tree(cfg, cap, keep)
-        assert (counts, nodes, kept) == reference_walk(cfg, cap, keep), (cfg, cap, keep)
+        cfg = replace(cfg, n_limit=cap)
+        counts, nodes = _run_tree(cfg)
+        assert (counts, nodes) == reference_walk(cfg, cap)[:2], (cfg, cap)
         budgets = {nodes - 1, rng.randint(1, nodes)} - {0}
-        on_keep_th += len(kept) == keep and nodes > 1
         for budget in budgets:
             cut = replace(cfg, node_budget=budget)
-            assert _run_tree(cut, cap, keep) == reference_walk(cut, cap, keep), (cut, cap, keep)
-    assert on_keep_th > 10
-    ap3 = SearchConfig(mono_family=fam([1], [2]), rainbow_family=fam([1], [2], role="rainbow"))
-    nodes = _run_tree(ap3, 6, math.inf)[1]
+            assert _run_tree(cut) == reference_walk(cut, cap)[:2], (cut, cap)
+    ap3 = SearchConfig(mono_family=fam([1], [2]), rainbow_family=fam([1], [2], role="rainbow"), n_limit=6)
+    nodes = _run_tree(ap3)[1]
     for budget in range(1, nodes + 1):
         cut = replace(ap3, node_budget=budget)
-        assert _run_tree(cut, 6, math.inf) == reference_walk(cut, 6, math.inf), budget
+        assert _run_tree(cut) == reference_walk(cut, 6)[:2], budget
 
 
 def test_look_ahead_keeps_what_the_exact_walk_keeps():
     # The look-ahead walk cuts a prefix once some later position has no
     # label left.  Against the plain recursive walk it must keep the same
-    # colourings in the same order and count the same at depth_cap, on no
-    # more nodes, and a budget one short of its own count must abort.
+    # colourings in the same order on no more nodes, stop on the limit-th
+    # one, and a budget one short of its own count must abort.
     rng = random.Random(20261019)
     pool = ([], [1], [2], [-1], [0, 1], [1, 1], [3], [1], [2])
-    fewer = 0
+    fewer = on_limit_th = 0
     for trial in range(96):
         members = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
         if members and rng.random() < 0.3:
@@ -564,42 +561,47 @@ def test_look_ahead_keeps_what_the_exact_walk_keeps():
             self_check=trial % 5 == 0,
         )
         cap = rng.randint(1, 8)
-        keep = (1, 3, math.inf)[trial // 32]
-        ref_counts, ref_nodes, ref_kept = reference_walk(cfg, cap, keep)
-        counts, nodes, kept = _run_tree(cfg, cap, keep, look_ahead=True)
-        assert (kept, counts[cap]) == (ref_kept, ref_counts[cap]), (cfg, cap, keep)
-        assert nodes <= ref_nodes, (cfg, cap, keep)
+        limit = (1, 3, None)[trial // 32]
+        _, ref_nodes, ref_kept = reference_walk(cfg, cap, limit)
+        kept, nodes = _look_ahead_walk(cfg, cap, limit)
+        assert kept == ref_kept, (cfg, cap, limit)
+        assert nodes <= ref_nodes, (cfg, cap, limit)
         fewer += nodes < ref_nodes
-        limit = None if keep == math.inf else keep
+        on_limit_th += len(kept) == limit and nodes > 1
         found = extremal_colourings(replace(cfg, node_budget=max(nodes, 1)), cap, limit)
         assert [c.coordinate(1) for c in found] == kept
         if nodes > 1:
             with pytest.raises(EnumerationCapExceeded):
                 extremal_colourings(replace(cfg, node_budget=nodes - 1), cap, limit)
     assert fewer > 20
+    assert on_limit_th > 10
 
 
 def test_look_ahead_on_classical_instances():
-    # Both walks keep the same colourings in the same order; the node
-    # counts of each are pinned.
+    # The look-ahead's lists are pinned by digest, with its node counts; a
+    # full list is as long as the exact walk's count at its length, and
+    # the exact walk's node counts are pinned too.
     w33 = SearchConfig(mono_family=fam([1], [2]), max_classes=3, n_limit=26)
     w42 = SearchConfig(mono_family=fam([1], [2], [3]), max_classes=2, n_limit=34)
     ap3 = SearchConfig(mono_family=fam([1], [2]), rainbow_family=fam([1], [2], role="rainbow"))
     ap4 = SearchConfig(
         mono_family=fam([1], [2], [3]), rainbow_family=fam([1], [2], [3], role="rainbow"), n_limit=13
     )
-    for cfg, length, keep, kept, exact_nodes, ahead_nodes in (
-        (w33, 26, math.inf, 8, 337616, 30962),
-        (w42, 34, math.inf, 14, 20323, 4938),
-        (ap3, 8, math.inf, 10, 167, 61),
-        (ap3, 9, math.inf, 0, 205, 55),
-        (ap4, 13, 3, 3, 22, 16),
-        (ap4, 13, 1000, 1000, 2290, 1553),
+    for cfg, length, limit, size, ahead_nodes, exact_nodes, digest in (
+        (w33, 26, None, 8, 30962, 337616, "e7b1420796cdfcf2121d984885efd8e60094b5e3a58b0a92bc782fb6035da112"),
+        (w42, 34, None, 14, 4938, 20323, "791a2fbafeb410b7a03aca37af5031562b53c4ab19edd744a97ae52827cfcc2a"),
+        (ap3, 8, None, 10, 61, 167, "325e01029b6d888738bba92e72a61daa117085eefd669d87bafe025062325a25"),
+        (ap3, 9, None, 0, 55, 205, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        (ap4, 13, 3, 3, 16, None, "52eb200f179f2aa03ee2045ac20140875840f37c8e111d73ba1fe3e9fea15ce5"),
+        (ap4, 13, 1000, 1000, 1553, None, "5c7a98a81dd53a4f27e53abad9af64ef92bed1574377455d590b8f9fb18c0802"),
     ):
-        exact = _run_tree(cfg, length, keep)
-        ahead = _run_tree(cfg, length, keep, look_ahead=True)
-        assert ahead[2] == exact[2] and len(exact[2]) == kept, (cfg, length)
-        assert (exact[1], ahead[1]) == (exact_nodes, ahead_nodes), (cfg, length)
+        kept, nodes = _look_ahead_walk(cfg, length, limit)
+        assert (len(kept), nodes) == (size, ahead_nodes), (cfg, length)
+        assert hashlib.sha256(repr(kept).encode()).hexdigest() == digest, (cfg, length)
+        if limit is None:
+            exact = canonical_number(replace(cfg, n_limit=length))
+            assert exact.witness_free_per_length[length - 1] == size, (cfg, length)
+            assert exact.nodes_expanded == exact_nodes, (cfg, length)
     # Under self_check every cut of a rainbow walk is named and confirmed.
     checked = extremal_colourings(replace(ap3, self_check=True), 8)
     assert checked == extremal_colourings(ap3, 8)
