@@ -25,25 +25,14 @@ from . import coloring, polynomial, search, witness
 
 
 def _load(load, path: str, *args):
-    # Read an input file with load (a colouring, family or certificate
-    # loader), naming the file in its format errors.
+    # load(path, *args) for a colouring, family or certificate loader, or
+    # one that also uses the family it reads.  Its ValueError names the file,
+    # and the line when the error carries one (a FormatError).
     try:
         return load(path, *args)
-    except polynomial.FormatError as e:
-        where = f"{path}:{e.line}" if e.line is not None else path
-        raise ValueError(f"{where}: {e.message}") from None
-    except UnicodeDecodeError as e:  # the loaders read UTF-8 text
-        raise ValueError(f"{path}: {e}") from None
-
-
-def _named(path: str, use, family, *args):
-    # use(family, *args) for a family read from path, its ValueError naming
-    # the file like a format error: a well-formed family that use cannot
-    # take (empty, or with no nonzero member) is an input error.
-    try:
-        return use(family, *args)
     except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        line = getattr(e, "line", None)
+        raise ValueError(f"{path}: {e}" if line is None else f"{path}:{line}: {e.message}") from None
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -164,20 +153,22 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_hvalue(args: argparse.Namespace) -> int:
-    fam = _load(polynomial.load_family, args.family, polynomial.ROLE_MONO)
-    print(_named(args.family, polynomial.h_value, fam))
+    print(_load(lambda path: polynomial.h_value(polynomial.load_family(path)), args.family))
     return 0
 
 
 def _cmd_weight(args: argparse.Namespace) -> int:
-    fam = _load(polynomial.load_family, args.family, polynomial.ROLE_MONO)
-    print(" ".join(map(str, _named(args.family, polynomial.weight_vector, fam))))
+    weight = _load(lambda path: polynomial.weight_vector(polynomial.load_family(path)), args.family)
+    print(" ".join(map(str, weight)))
     return 0
 
 
 def _cmd_bstar(args: argparse.Namespace) -> int:
-    fam = _load(polynomial.load_family, args.family, polynomial.ROLE_RAINBOW)
-    derived = _named(args.family, polynomial.bstar_family, fam, args.h, args.d_cap)
+    def derive(path: str) -> polynomial.PolynomialFamily:
+        fam = polynomial.load_family(path, polynomial.ROLE_RAINBOW)
+        return polynomial.bstar_family(fam, args.h, args.d_cap)
+
+    derived = _load(derive, args.family)
     text = polynomial.dump_family(derived)
     _write_out(args.out, text)
     sys.stdout.write(text)

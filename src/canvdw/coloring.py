@@ -20,9 +20,7 @@ from .polynomial import FormatError
 # colouring are one tuple: canonical colourings draw their rows from a few
 # small palettes.  Bounded by the labels its rows hold rather than by
 # entries, since one colouring may hold a long row; emptied once past the
-# bound.  Only exact ints enter: (True,), (1.0,) and an int subclass's row
-# all equal (1,) and hash alike, and sharing one of them would change
-# another colouring's serialization.
+# bound.
 _ROW_TABLE_LABELS = 1 << 16
 _rows: dict[tuple[int, ...], tuple[int, ...]] = {}
 _rows_held = 0
@@ -33,8 +31,8 @@ class TypedColouring:
     """Colouring of {1, ..., N} with m unbounded coordinates and an optional
     bounded final coordinate.
 
-    ``rows[t-1]`` holds the labels of element t: m non-negative ints, then
-    the final label in 1..n when n is not None.
+    ``rows[t-1]`` holds the labels of element t, each an exact int: m
+    non-negative ones, then the final label in 1..n when n is not None.
     """
 
     m: int
@@ -46,39 +44,29 @@ class TypedColouring:
 
     def __post_init__(self):
         global _rows_held
-        if self.m < 0:
-            raise ValueError(f"m must be non-negative, got {self.m}")
-        if self.n is not None and self.n < 1:
-            raise ValueError(f"n must be positive when present, got {self.n}")
+        if type(self.m) is not int or self.m < 0:
+            raise ValueError(f"m must be a non-negative int, got {self.m!r}")
+        if self.n is not None and (type(self.n) is not int or self.n < 1):
+            raise ValueError(f"n must be a positive int when present, got {self.n!r}")
         width = self.m + (1 if self.n is not None else 0)
         rows = tuple(tuple(r) for r in self.rows)
-        plain = True  # every label an exact int
         for t, row in enumerate(rows, start=1):
             if len(row) != width:
                 raise ValueError(f"element {t} has {len(row)} labels, expected {width}")
             for lab in row[: self.m]:
-                if type(lab) is not int:
-                    if not isinstance(lab, int) or isinstance(lab, bool):
-                        raise ValueError(f"element {t} has invalid label {lab!r}")
-                    plain = False
-                if lab < 0:
+                if type(lab) is not int or lab < 0:
                     raise ValueError(f"element {t} has invalid label {lab!r}")
             if self.n is not None:
                 fin = row[self.m]
-                if type(fin) is not int:
-                    if not isinstance(fin, int) or isinstance(fin, bool):
-                        raise ValueError(f"element {t} final label {fin!r} outside 1..{self.n}")
-                    plain = False
-                if not 1 <= fin <= self.n:
+                if type(fin) is not int or not 1 <= fin <= self.n:
                     raise ValueError(f"element {t} final label {fin!r} outside 1..{self.n}")
-        if plain:
-            # Validated first: (True,) would otherwise come back as (1,).
-            held = len(_rows)
-            rows = tuple(map(_rows.setdefault, rows, rows))
-            _rows_held += (len(_rows) - held) * width
-            if _rows_held > _ROW_TABLE_LABELS:
-                _rows.clear()
-                _rows_held = 0
+        # Validated first: (True,) would otherwise come back as (1,).
+        held = len(_rows)
+        rows = tuple(map(_rows.setdefault, rows, rows))
+        _rows_held += (len(_rows) - held) * width
+        if _rows_held > _ROW_TABLE_LABELS:
+            _rows.clear()
+            _rows_held = 0
         object.__setattr__(self, "rows", rows)
 
     @property

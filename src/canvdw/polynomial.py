@@ -38,7 +38,7 @@ class IntegralPolynomial:
     def __post_init__(self):
         cs = tuple(self.coeffs)
         for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool):
+            if type(c) is not int:
                 raise TypeError(f"coefficients must be ints, got {c!r}")
         while cs and cs[-1] == 0:
             cs = cs[:-1]
@@ -186,7 +186,15 @@ def _shift_collision(q: IntegralPolynomial, target: IntegralPolynomial) -> int |
     h = num // den
     if h < 1:
         return None
-    return h if shift_difference(q, h) == target else None
+    # Coefficients of shift_difference(q, h) from x**(n-2) down, each by
+    # Horner's rule in h, up to the first mismatch: a huge h fails at once.
+    for j in range(n - 2, 0, -1):
+        acc = 0
+        for k in range(n, j - 1, -1):
+            acc = acc * h + q.coeffs[k - 1] * comb(k, j)
+        if acc != target.coeffs[j - 1]:
+            return None
+    return h
 
 
 def h_value(family: PolynomialFamily) -> int:

@@ -45,7 +45,9 @@ class SearchConfig:
 
     self_check re-verifies every prune against the full witness scanner,
     which must find a witness whose certificate verifies; it never changes
-    results.  A config checks itself when built, raising ValueError.
+    results.  A config checks itself when built, raising ValueError; h,
+    n_start and n_limit are exact ints, max_classes and node_budget exact
+    ints or None.
     """
 
     mono_family: PolynomialFamily | None
@@ -59,6 +61,11 @@ class SearchConfig:
     self_check: bool = False
 
     def __post_init__(self):
+        optional = ("max_classes", "node_budget")
+        for name in ("h", "n_start", "n_limit", *optional):
+            value = getattr(self, name)
+            if type(value) is not int and not (value is None and name in optional):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.d_policy not in D_POLICIES:
             raise ValueError(f"unknown d policy {self.d_policy!r}")
         if self.n_start < 1 or self.n_limit < self.n_start:

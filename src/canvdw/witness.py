@@ -98,17 +98,17 @@ class Certificate:
         problem = None
         if not isinstance(kind, str):
             problem = "kind must be a string"
-        elif not (_is_int(a) and _is_int(d)):
+        elif not (type(a) is int and type(d) is int):
             problem = "a and d must be integers"
-        elif not (isinstance(elements, list) and all(map(_is_int, elements))):
+        elif not (isinstance(elements, list) and all(type(e) is int for e in elements)):
             problem = "elements must be a list of integers"
-        elif evidence is not None and not _is_int(evidence):
+        elif evidence is not None and type(evidence) is not int:
             problem = "evidence must be an integer or null"
         elif not isinstance(digest, str):
             problem = "digest must be a string"
         elif d_policy not in D_POLICIES:
             problem = f"unknown d policy {d_policy!r}"
-        elif not (_is_int(h) and h >= 0):
+        elif not (type(h) is int and h >= 0):
             problem = "h must be a non-negative integer"
         if problem is not None:
             raise FormatError(f"malformed certificate: {problem}")
@@ -140,11 +140,6 @@ def _json_array(items: list[str], pad: str) -> str:
         return "[]"
     inner = "\n  " + pad
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
-
-
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which Python counts as int.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class VerifyResult(NamedTuple):
@@ -433,6 +428,8 @@ def witness_scanner(
     """
     if d_policy not in D_POLICIES:
         raise ValueError(f"unknown d policy {d_policy!r}")
+    if type(h) is not int:
+        raise ValueError(f"h must be an int, got {h!r}")
     if h < 0:
         raise ValueError(f"h must be non-negative, got {h}")
     plan = _scan_plan(mono_family, rainbow_family, length, h, d_policy)
@@ -527,18 +524,19 @@ def verify_certificate(colouring: TypedColouring, cert: Certificate) -> VerifyRe
     "element mismatch", "out of range", "step not admitted" (per
     step_admitted under the certificate's d_policy and h), "evidence
     mismatch" or "predicate failed".  Fields are held to the types
-    Certificate.from_json accepts, so a bool or float that equals the right
-    int is rejected under the code of the check it would have passed.
+    Certificate.from_json accepts, exact ints, so a bool, float or int
+    subclass equal to the right int is rejected under the code of the check
+    it would have passed.
     """
     if cert.kind not in (KIND_MONO, KIND_RAINBOW, KIND_FULLY_RAINBOW):
         return VerifyResult(False, "kind mismatch")
     if cert.digest != colouring_digest(colouring):
         return VerifyResult(False, "digest mismatch")
-    if not (_is_int(cert.a) and _is_int(cert.d) and isinstance(cert.family, PolynomialFamily)):
+    if not (type(cert.a) is int and type(cert.d) is int and isinstance(cert.family, PolynomialFamily)):
         return VerifyResult(False, "element mismatch")
     a, d, polys = cert.a, cert.d, cert.family.polys
     elements = tuple(cert.elements) if isinstance(cert.elements, (tuple, list)) else ()
-    if len(elements) != len(polys) + 1 or not all(map(_is_int, elements)) or elements[0] != a:
+    if len(elements) != len(polys) + 1 or not all(type(e) is int for e in elements) or elements[0] != a:
         return VerifyResult(False, "element mismatch")
     for p, e in zip(polys, elements[1:]):
         # p(d) == e - a by p.evaluate's Horner rule, without building a p(d)
@@ -556,12 +554,12 @@ def verify_certificate(colouring: TypedColouring, cert: Certificate) -> VerifyRe
             return VerifyResult(False, "element mismatch")
     if any(not 1 <= e <= colouring.length for e in elements):
         return VerifyResult(False, "out of range")
-    known = _is_int(cert.h) and cert.h >= 0 and cert.d_policy in D_POLICIES
+    known = type(cert.h) is int and cert.h >= 0 and cert.d_policy in D_POLICIES
     if not (known and step_admitted(cert.kind, cert.d, cert.h, cert.d_policy)):
         return VerifyResult(False, "step not admitted")
     if cert.kind == KIND_MONO:
         j = cert.evidence
-        if not _is_int(j) or not 1 <= j <= colouring.m:
+        if type(j) is not int or not 1 <= j <= colouring.m:
             return VerifyResult(False, "evidence mismatch")
         if len({colouring.rows[e - 1][j - 1] for e in elements}) != 1:
             return VerifyResult(False, "predicate failed")
@@ -576,7 +574,7 @@ def verify_certificate(colouring: TypedColouring, cert: Certificate) -> VerifyRe
         lab = is_fully_rainbow(colouring, elements)
         if lab is None:
             return VerifyResult(False, "predicate failed")
-        if not _is_int(cert.evidence) or lab != cert.evidence:
+        if type(cert.evidence) is not int or lab != cert.evidence:
             return VerifyResult(False, "evidence mismatch")
     return VerifyResult(True, None)
 

@@ -26,6 +26,14 @@ def fam(*coeff_lists, role: str = "mono") -> PolynomialFamily:
     return PolynomialFamily(tuple(IntegralPolynomial(tuple(cs)) for cs in coeff_lists), role)
 
 
+class Loud(int):
+    """An int subclass that prints unlike its value: the library stores only
+    exact ints, so it refuses this wherever it takes an integer."""
+
+    def __str__(self):
+        return "loud"
+
+
 X = poly(1)
 TWO_X = poly(2)
 X_SQ = poly(0, 1)

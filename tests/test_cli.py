@@ -400,10 +400,17 @@ def test_hostile_certificate_is_answered_at_once(files, capsys):
     code, cert, _ = run(capsys, "witness", "--colouring", col, "--mono", mono)
     obj = dict(json.loads(cert), family={"polys": [[0] * 3000 + [1]], "role": "mono"}, d=int("9" * 4000))
     path = files("hostile.json", json.dumps(obj))
-    start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "--colouring", col, "--cert", path)
-    assert (code, out, err) == (1, "certificate rejected: element mismatch\n", "")
-    assert time.perf_counter() - start < 1
+    # x^1000 and x^1000 + 1000 h x^999 pin the shift h = 10**4000, and the
+    # full shift difference at h would take powers of h up to h**999.
+    polys = [[0] * 999 + [1], [0] * 998 + [1000 * 10**4000, 1]]
+    family = files("hv.json", json.dumps({"polys": polys}))
+    for argv, answer in (
+        (("verify", "--colouring", col, "--cert", path), (1, "certificate rejected: element mismatch\n", "")),
+        (("hvalue", "--family", family), (0, "0\n", "")),
+    ):
+        start = time.perf_counter()
+        assert run(capsys, *argv) == answer
+        assert time.perf_counter() - start < 1
 
 
 def test_input_that_is_not_utf8_names_its_file(files, capsys, tmp_path):

@@ -23,7 +23,7 @@ from canvdw.coloring import (
     serialize,
 )
 
-from _helpers import bell_sequence, merge_two_classes, random_colouring, relabel
+from _helpers import Loud, bell_sequence, merge_two_classes, random_colouring, relabel
 
 
 def test_restricted_growth_examples():
@@ -306,9 +306,10 @@ def test_typed_colouring_validation():
         TypedColouring(m=1, n=0, rows=((1,),))  # n present but not positive
     with pytest.raises(ValueError):
         TypedColouring(m=1, n=None, rows=((1,), (1, 2)))  # ragged rows
-    with pytest.raises(ValueError):
-        TypedColouring(m=-1, n=None, rows=())  # negative m
-    for bad in (-1, True, "1"):
+    for m, n in ((-1, None), (True, None), (1.0, None), (1, True), (1, Loud(2))):
+        with pytest.raises(ValueError):
+            TypedColouring(m=m, n=n, rows=())  # m or n not an exact int in range
+    for bad in (-1, True, "1", Loud(1)):
         with pytest.raises(ValueError):
             TypedColouring(m=1, n=None, rows=((bad,),))  # unbounded label not a natural
     unbounded = TypedColouring.single((1, 2))
@@ -335,12 +336,8 @@ def test_equal_rows_are_one_tuple(row_table):
 
 def test_rows_that_only_equal_an_int_row_are_not_shared(row_table):
     # (True, 1), (1.0, 1) and a row of an int subclass all equal (1, 1) and
-    # hash alike.  The first two are refused; the third keeps its own row
-    # and never becomes the row other colourings share.
-    class Loud(int):
-        def __str__(self):
-            return "loud"
-
+    # hash alike.  All are refused, so none becomes the row other colourings
+    # share, and none serializes unlike the labels the predicates read.
     text = "m=1 n=1 N=1\n1 1\n"
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
 
@@ -351,16 +348,14 @@ def test_rows_that_only_equal_an_int_row_are_not_shared(row_table):
         return c
 
     shared = plain().rows[0]
-    for bad in ((True, 1), (1.0, 1), (1, True), (1, 1.0)):
+    for bad in ((True, 1), (1.0, 1), (1, True), (1, 1.0), (Loud(1), 1), (1, Loud(1))):
         with pytest.raises(ValueError):
             TypedColouring(m=1, n=1, rows=(bad,))
-    for row in ((Loud(1), 1), (1, Loud(1))):
-        loud = TypedColouring(m=1, n=1, rows=(row,))
-        assert loud.rows[0] is row and "loud" in serialize(loud)
     assert plain().rows[0] is shared and list(row_table._rows) == [shared]
-    # A table that meets a subclass row first stays empty.
+    # A table that meets a refused row first stays empty.
     row_table._rows.clear()
-    TypedColouring(m=1, n=1, rows=((Loud(1), Loud(1)),))
+    with pytest.raises(ValueError):
+        TypedColouring(m=1, n=1, rows=((Loud(1), Loud(1)),))
     assert row_table._rows == {}
     plain()
 

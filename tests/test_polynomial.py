@@ -17,7 +17,7 @@ from canvdw.polynomial import (
 )
 from canvdw.witness import d_max
 
-from _helpers import TWO_X, X, X_SQ, brute_force_shift_threshold, fam, poly, random_rainbow_family
+from _helpers import Loud, TWO_X, X, X_SQ, brute_force_shift_threshold, fam, poly, random_rainbow_family
 
 
 def test_normal_form_strips_trailing_zeros():
@@ -294,6 +294,9 @@ def test_parse_and_dump_family():
         parse_family('{"role": "mono"}')
     with pytest.raises(FormatError):
         parse_family('{"polys": [[1], ["x"]]}')
+    for coeffs in ([True], [1, 2.0], [1, Loud(2)]):
+        with pytest.raises(FormatError):
+            PolynomialFamily.from_coeff_lists([[1], coeffs])
     with pytest.raises(FormatError):
         parse_family('{"polys": [[1], [1]], "role": "rainbow"}')
     with pytest.raises(FormatError):

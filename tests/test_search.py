@@ -405,6 +405,12 @@ def test_config_validation():
         SearchConfig(mono_family=fam([1]), d_policy="upward")
     with pytest.raises(ValueError, match="h must be non-negative"):
         replace(SearchConfig(mono_family=fam([1])), h=-1)
+    # Every int field holds an exact int; a float n_limit would fail deep in
+    # the walk, and a float h or node_budget would run.
+    for name in ("h", "max_classes", "n_start", "n_limit", "node_budget"):
+        for value in (True, 9.0, 0.5):
+            with pytest.raises(ValueError, match=f"{name} must be an int"):
+                SearchConfig(mono_family=fam([1]), **{name: value})
 
 
 def test_engines_agree_on_random_families():

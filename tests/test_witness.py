@@ -36,6 +36,7 @@ from canvdw.witness import (
 )
 
 from _helpers import (
+    Loud,
     TWO_X,
     X,
     fam,
@@ -357,7 +358,7 @@ def test_verify_certificate_rejections():
     # Values equal to the right ints but not ints themselves would verify
     # and then fail Certificate.from_json; they are rejected here too.
     assert (cert.a, cert.d, cert.elements) == (1, 1, (1, 2))
-    for name, value in (("a", True), ("d", True), ("elements", (True, 2)), ("a", 1.0)):
+    for name, value in (("a", True), ("d", True), ("elements", (True, 2)), ("a", 1.0), ("a", Loud(1))):
         odd = dataclasses.replace(cert, **{name: value})
         assert verify_certificate(c, odd).reason == "element mismatch", (name, value)
     pair = TypedColouring.single((1, 1))
@@ -370,7 +371,7 @@ def test_verify_certificate_rejections():
         for value in (True, 1.0):
             odd = dataclasses.replace(good_cert, evidence=value)
             assert verify_certificate(col, odd).reason == "evidence mismatch", (good_cert.kind, value)
-        for value in (True, 0.0, -1):
+        for value in (True, 0.0, -1, Loud(0)):
             odd = dataclasses.replace(good_cert, h=value)
             assert verify_certificate(col, odd).reason == "step not admitted", (good_cert.kind, value)
 
@@ -537,6 +538,9 @@ def test_witness_scanner_checks_its_inputs(monkeypatch):
         witness_scanner(mono, None, 5, 0, "sideways")
     with pytest.raises(ValueError, match="h must be non-negative"):
         witness_scanner(mono, None, 5, -1)
+    for h in (True, 1.0, Loud(1)):  # a certificate would store h as given
+        with pytest.raises(ValueError, match="h must be an int"):
+            witness_scanner(mono, None, 5, h)
     assert plans == {}
     scan = witness_scanner(mono, None, 5)
     assert len(plans) == 1
