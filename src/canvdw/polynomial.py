@@ -228,8 +228,10 @@ def bstar_family(family: PolynomialFamily, h: int, d_cap: int) -> PolynomialFami
 
     For each member p and each d in {0} union (h, d_cap], the candidate is
     (p(x+d) - p(d)) - p1(x) where p1 is the first member.  Zero candidates
-    are dropped and duplicates keep the first (d, member) occurrence.  The
-    first member must have minimal degree and d_cap must exceed h.
+    are dropped and duplicates keep the first (d, member) occurrence, so a
+    family of linear members, whose later steps repeat d = 0, takes only
+    d = 0.  The first member must have minimal degree and d_cap must exceed
+    h.
     """
     if family.role != ROLE_RAINBOW:
         raise ValueError("bstar_family requires a rainbow family")
@@ -244,7 +246,15 @@ def bstar_family(family: PolynomialFamily, h: int, d_cap: int) -> PolynomialFami
         raise ValueError("first member must have minimal degree")
     out: list[IntegralPolynomial] = []
     seen: set[IntegralPolynomial] = set()
-    for d in (0, *range(h + 1, d_cap + 1)):
+    # A linear p has p(x + d) - p(d) = p(x): no d > 0 adds a member.
+    steps: tuple[int, ...] = (0,)
+    if any(p.degree > 1 for p in family.polys):
+        # The x coefficient of p(x + d) - p(d) is p'(d), which takes each
+        # value at most deg p - 1 times, so the output grows with d_cap.
+        # Listing the steps first makes a cap too large to hold fail at once
+        # (MemoryError or OverflowError) instead of filling memory.
+        steps = (0, *range(h + 1, d_cap + 1))
+    for d in steps:
         for p in family.polys:
             cand = shift_difference(p, d) - base
             if cand.is_zero() or cand in seen:

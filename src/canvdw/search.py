@@ -509,10 +509,13 @@ def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
     """Independent oracle for canonical_number by brute force.
 
     Enumerates every canonical colouring of every length, as its
-    restricted-growth string.  Each string is first tested against the last
-    witness the scanner found at that length; only a miss runs the full
-    witness scanner, and a string is witness-free only when that scan finds
-    nothing.  No pruning, no sharing of work between lengths.
+    restricted-growth string, one prefix of length - 1 at a time.  Each
+    string is first tested against the last witness the scanner found at
+    that length; when that witness avoids the last position, one test per
+    prefix stands for all of the prefix's strings.  Only a miss runs the
+    full witness scanner, and a string is witness-free only when that scan
+    finds nothing.  Every string is counted; no pruning, no sharing of work
+    between lengths.
     Refuses to enumerate more than node_budget colourings (or a built-in cap
     when no budget is set).
     """
@@ -525,25 +528,35 @@ def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
         free = 0
         scan = witness_scanner(cfg.mono_family, cfg.rainbow_family, length, cfg.h, cfg.d_policy)
         self_check = cfg.self_check
+        top = length if cfg.max_classes is None else cfg.max_classes
         # The last witness scan found at this length, as the scanner's own
         # column picker and count of distinct labels; neighbouring strings
         # share all but their last labels, so it mostly hits the next one.
-        pick, want = None, 0
-        for labels in restricted_growth_strings(length, cfg.max_classes):
-            examined += 1
+        # While it avoids the last position (and no self check wants each
+        # string), one test on the prefix settles every string built on it.
+        pick, want, on_prefix = None, 0, False
+        for prefix in restricted_growth_strings(length - 1, cfg.max_classes):
+            # The prefix's strings end in each of its k possible last labels.
+            k = min(max(prefix, default=-1) + 2, top)
+            examined += k
             if examined > cap:
                 raise EnumerationCapExceeded(
                     f"naive engine exceeded its enumeration cap of {cap}"
                 )
-            if pick is None or len(set(pick(labels))) != want:
-                hit = scan(labels)
-                if hit is None:
-                    free += 1
-                    continue
-                pick = itemgetter(*(e - 1 for e in hit.elements))
-                want = 1 if hit.kind == KIND_MONO else len(hit.elements)
-            if self_check:
-                _self_check(cfg, TypedColouring.single(labels))
+            if on_prefix and len(set(pick(prefix))) == want:
+                continue
+            for v in range(k):
+                labels = prefix + (v,)
+                if pick is None or len(set(pick(labels))) != want:
+                    hit = scan(labels)
+                    if hit is None:
+                        free += 1
+                        continue
+                    pick = itemgetter(*(e - 1 for e in hit.elements))
+                    want = 1 if hit.kind == KIND_MONO else len(hit.elements)
+                    on_prefix = not self_check and max(hit.elements) < length
+                if self_check:
+                    _self_check(cfg, TypedColouring.single(labels))
         return free
 
     prev = 1 if cfg.n_start == 1 else witness_free_count(cfg.n_start - 1)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -190,6 +191,30 @@ def test_bstar_members_are_shifted_differences():
                     expected.add(cand)
         assert set(derived.polys) == expected
         assert len(set(derived.polys)) == len(derived.polys)
+
+
+def test_bstar_family_stops_at_zero_for_linear_members():
+    # Every member linear: no d > 0 adds a member, so a huge cap answers at
+    # once.  On random families, linear or not, the members and their order
+    # are those of the plain formula over {0} and (h, d_cap].
+    start = time.perf_counter()
+    assert bstar_family(fam([1], role="rainbow"), 0, 10**8).polys == ()
+    ap4 = fam([1], [2], [3], role="rainbow")
+    assert [p.coeffs for p in bstar_family(ap4, 5, 10**18).polys] == [(1,), (2,)]
+    assert time.perf_counter() - start < 1
+    rng = random.Random(31)
+    for trial in range(80):
+        family = random_rainbow_family(rng, max_size=3, max_deg=1 + 2 * (trial % 2), coeff_abs=3)
+        h = rng.randint(0, 3)
+        d_cap = h + rng.randint(1, 4)
+        base = family.polys[0]
+        expected = []
+        for d in (0, *range(h + 1, d_cap + 1)):
+            for p in family.polys:
+                cand = shift_difference(p, d) - base
+                if not cand.is_zero() and cand not in expected:
+                    expected.append(cand)
+        assert bstar_family(family, h, d_cap).polys == tuple(expected)
 
 
 def test_bstar_shift_members_never_equal_difference_members():

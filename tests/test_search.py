@@ -25,6 +25,7 @@ from _helpers import fam, random_rainbow_family, reference_first_witness, refere
 
 LINEAR = SearchConfig(mono_family=fam([1]), rainbow_family=fam([1], role="rainbow"))
 W32 = SearchConfig(mono_family=fam([1], [2]), max_classes=2)
+AP3 = SearchConfig(mono_family=fam([1], [2]), rainbow_family=fam([1], [2], role="rainbow"))
 
 
 def test_single_linear_family_both_engines():
@@ -138,24 +139,38 @@ def test_n_start_skips_short_lengths():
 def test_naive_engine_scans_each_length_through_one_scanner(monkeypatch):
     # One scanner per length examined, and one more for the layer below
     # n_start that feeds the extremal count; never one per colouring.
+    # The scan counts of W(3;2) and canonical 3-AP are pinned: testing the
+    # last witness once per prefix must scan exactly the strings that a
+    # test per string scans.
     lengths = []
+    scans = []
     scanner = canvdw.search.witness_scanner
 
     def counting_scanner(mono, rainbow, length, h, d_policy):
         lengths.append(length)
-        return scanner(mono, rainbow, length, h, d_policy)
+        scan = scanner(mono, rainbow, length, h, d_policy)
+
+        def counted(labels):
+            scans.append(labels)
+            return scan(labels)
+
+        return counted
 
     monkeypatch.setattr(canvdw.search, "witness_scanner", counting_scanner)
-    for cfg, expected in (
-        (W32, list(range(1, 10))),
-        (replace(W32, n_start=4), [3] + list(range(4, 10))),
-        (replace(W32, n_start=4, n_limit=7), [3, 4, 5, 6, 7]),
-        (replace(LINEAR, self_check=True), [1, 2]),
+    for cfg, expected, scanned in (
+        (W32, list(range(1, 10)), 142),
+        (AP3, list(range(1, 10)), 432),
+        (replace(W32, n_start=4), [3] + list(range(4, 10)), None),
+        (replace(W32, n_start=4, n_limit=7), [3, 4, 5, 6, 7], None),
+        (replace(LINEAR, self_check=True), [1, 2], None),
     ):
         lengths.clear()
+        scans.clear()
         res = naive_canonical_number(cfg)
         assert lengths == expected
         assert res.nodes_expanded > len(lengths)
+        if scanned is not None:
+            assert len(scans) == scanned
 
 
 def test_budget_aborts_pruned_engine():
@@ -179,6 +194,12 @@ def test_budget_caps_naive_engine():
     cfg = SearchConfig(mono_family=fam([1], [2]), max_classes=2, node_budget=10)
     with pytest.raises(EnumerationCapExceeded):
         naive_canonical_number(cfg)
+    # A budget of exactly the strings examined answers; one less raises.
+    for base, examined in ((W32, 511), (AP3, 26_442)):
+        res = naive_canonical_number(replace(base, node_budget=examined))
+        assert (res.canonical_number, res.nodes_expanded) == (9, examined)
+        with pytest.raises(EnumerationCapExceeded):
+            naive_canonical_number(replace(base, node_budget=examined - 1))
 
 
 def test_self_check_modes():
@@ -315,6 +336,20 @@ def test_naive_engine_matches_a_plain_count_on_random_families():
         )
         assert got == _plain_naive(cfg), cfg
         numbers.add(res.canonical_number)
+        # The budget is spent string by string, also where one test covers
+        # a whole prefix: exactly the strings examined answers, one less
+        # raises (when one less is a budget at all).
+        budget = res.nodes_expanded
+        same = naive_canonical_number(replace(cfg, node_budget=budget))
+        assert (
+            same.canonical_number,
+            same.extremal_count_at_nminus1,
+            same.nodes_expanded,
+            same.witness_free_per_length,
+        ) == got, cfg
+        if budget > 1:
+            with pytest.raises(EnumerationCapExceeded):
+                naive_canonical_number(replace(cfg, node_budget=budget - 1))
     assert None in numbers and len(numbers) > 3
 
 
