@@ -9,7 +9,7 @@ search that hit its budget where a partial answer would mislead (number
 <path>[:<line>]: <message>".  --out is written before stdout, so a failed
 write prints no result.  A run whose output pipe closes early stops silently
 with status 141.  Output for a fixed input and flag set is byte-identical
-across runs.  The search runs on one thread; --threads is still accepted, and
+across runs.  The search runs on one thread; number still accepts --threads,
 checked to be positive, so that existing command lines keep working, but it
 has no other effect.
 """
@@ -57,25 +57,14 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-rainbow", action="store_true", help="state explicitly that no rainbow family is used")
     _add_policy_flags(p)
     p.add_argument("--max-classes", type=int, default=None, help="palette cap (default: unbounded)")
-    p.add_argument("--n-start", type=int, default=1, help="first length to try (default: 1)")
-    p.add_argument("--n-limit", type=int, default=12, help="last length to try (default: 12)")
     p.add_argument("--node-budget", type=int, default=None, help="abort after this many nodes (default: none)")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; must be positive, has no effect",
-    )
     p.add_argument("--self-check", action="store_true", help="re-verify every prune and certificate")
-    p.add_argument("--timing", action="store_true", help="include wall time in the report")
-    p.add_argument("--out", help="write the run report to this file")
 
 
-def _search_config(args: argparse.Namespace) -> search.SearchConfig:
+def _search_config(args: argparse.Namespace, **lengths: int) -> search.SearchConfig:
+    # lengths: number's n_start and n_limit; extremal keeps the defaults.
     if args.rainbow and args.no_rainbow:
         raise ValueError("--rainbow and --no-rainbow are mutually exclusive")
-    if args.threads < 1:
-        raise ValueError(f"--threads must be positive, got {args.threads}")
     mono = _load(polynomial.load_family, args.mono, polynomial.ROLE_MONO)
     rain = None
     if args.rainbow:
@@ -86,10 +75,9 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
         h=args.h,
         d_policy=args.d_policy,
         max_classes=args.max_classes,
-        n_start=args.n_start,
-        n_limit=args.n_limit,
         node_budget=args.node_budget,
         self_check=args.self_check,
+        **lengths,
     )
 
 
@@ -121,7 +109,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_number(args: argparse.Namespace) -> int:
-    cfg = _search_config(args)
+    if args.threads < 1:
+        raise ValueError(f"--threads must be positive, got {args.threads}")
+    cfg = _search_config(args, n_start=args.n_start, n_limit=args.n_limit)
     engine = search.naive_canonical_number if args.naive else search.canonical_number
     result = engine(cfg)
     report = search.run_report(cfg, result, timing=args.timing)
@@ -141,10 +131,6 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
     cfg = _search_config(args)
     if args.at_length < 1:
         raise ValueError(f"--at-length must be positive, got {args.at_length}")
-    if args.at_length > cfg.n_limit:
-        raise ValueError(f"--at-length {args.at_length} exceeds --n-limit {cfg.n_limit}")
-    if args.at_length < cfg.n_start:
-        raise ValueError(f"--at-length {args.at_length} is below --n-start {cfg.n_start}")
     found = search.extremal_colourings(cfg, args.at_length, args.limit)
     text = "".join(" ".join(map(str, col.coordinate(1))) + "\n" for col in found)
     _write_out(args.out, text)
@@ -215,13 +201,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("number", help="least length with no witness-free colouring")
     _add_search_flags(p)
+    p.add_argument("--n-start", type=int, default=1, help="first length to try (default: 1)")
+    p.add_argument("--n-limit", type=int, default=12, help="last length to try (default: 12)")
     p.add_argument("--naive", action="store_true", help="use the brute-force oracle engine")
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; must be positive, has no effect")
+    p.add_argument("--timing", action="store_true", help="include wall time in the report")
+    p.add_argument("--out", help="write the run report to this file")
     p.set_defaults(func=_cmd_number)
 
     p = sub.add_parser("extremal", help="witness-free colourings of a given length")
     _add_search_flags(p)
     p.add_argument("--at-length", type=int, required=True, help="length to enumerate at")
     p.add_argument("--limit", type=int, default=None, help="return at most this many")
+    p.add_argument("--out", help="write the colourings to this file")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("hvalue", help="shift-collision threshold of a family")

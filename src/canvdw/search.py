@@ -45,9 +45,10 @@ class SearchConfig:
 
     self_check re-verifies every prune against the full witness scanner,
     which must find a witness whose certificate verifies; it never changes
-    results.  A config checks itself when built, raising ValueError; h,
-    n_start and n_limit are exact ints, max_classes and node_budget exact
-    ints or None.
+    results.  n_start and n_limit bound only the counting engines, not
+    extremal_colourings.  A config checks itself when built, raising
+    ValueError; h, n_start and n_limit are exact ints, max_classes and
+    node_budget exact ints or None.
     """
 
     mono_family: PolynomialFamily | None
@@ -177,6 +178,9 @@ def _run_tree(cfg: SearchConfig) -> tuple[list[int] | None, int]:
     on a budget exactly where a visit of each leaf in label order would.
     """
     depth_cap = cfg.n_limit
+    # Allocated first, so that a length too large to hold fails at once.
+    counts = [0] * (depth_cap + 1)
+    counts[0] = 1
     mono_t, rain_t, members = _probes(cfg, depth_cap)
     self_check = cfg.self_check
     top = depth_cap - 1
@@ -194,8 +198,6 @@ def _run_tree(cfg: SearchConfig) -> tuple[list[int] | None, int]:
     # A prefix using `full` classes may not open a fresh one (-1: no cap).
     full = -1 if cfg.max_classes is None else cfg.max_classes
     budget = math.inf if cfg.node_budget is None else cfg.node_budget
-    counts = [0] * (depth_cap + 1)
-    counts[0] = 1
     # labels[:depth] is the current prefix, using used[depth] classes;
     # labels[depth] is the last label tried at position depth.  bits[i] is
     # 1 << labels[i], kept only for a rainbow family, and allows[depth] the
@@ -308,9 +310,11 @@ def _look_ahead_walk(
     self_check, every label the walk rules out without placing it, and
     every label of a position it empties, is confirmed by _check_cut.
     """
+    full = -1 if cfg.max_classes is None else cfg.max_classes
+    # Allocated first, so that a length too large to hold fails at once.
+    avail = [-1 if full < 0 else (1 << full) - 1] * depth_cap
     mono_t, rain_t, members = _probes(cfg, depth_cap)
     top = depth_cap - 1
-    full = -1 if cfg.max_classes is None else cfg.max_classes
     budget = math.inf if cfg.node_budget is None else cfg.node_budget
     self_check = cfg.self_check
     if 0 in mono_t:
@@ -323,7 +327,6 @@ def _look_ahead_walk(
     mono_fw = sorted(((pm & -pm).bit_length() - 1, pm) for pm in mono_t)
     rain_fw = sorted(((pm & -pm).bit_length() - 1, pm, ks) for pm, ks in rain_t)
     reach = max((probe[0] for probe in mono_fw + rain_fw), default=0)
-    avail = [-1 if full < 0 else (1 << full) - 1] * depth_cap
     kept: list[tuple[int, ...]] = []
     # labels[:depth] is the current prefix; used[depth] the classes it uses,
     # cands[depth] the labels still to place at depth, and saved[depth] the
@@ -492,11 +495,12 @@ def extremal_colourings(cfg: SearchConfig, length: int, limit: int | None = None
 
     The question is about one length, so this runs the look-ahead walk:
     it cuts every prefix that leaves some position up to length with no
-    label, and the node budget counts its nodes, not the exact walk's.
-    Raises EnumerationCapExceeded if the walk runs out of node budget
-    first, since its list would be partial."""
-    if not 1 <= length <= cfg.n_limit:
-        raise ValueError(f"length {length} outside 1..{cfg.n_limit}")
+    label, and the node budget counts its nodes, not the exact walk's;
+    cfg.n_start and cfg.n_limit play no part.  Raises
+    EnumerationCapExceeded if the walk runs out of node budget first,
+    since its list would be partial."""
+    if length < 1:
+        raise ValueError(f"length must be positive, got {length}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     kept, _ = _look_ahead_walk(cfg, length, limit)

@@ -18,6 +18,7 @@ from canvdw.witness import Certificate
 MONO_X = '{"polys": [[1]], "role": "mono"}'
 RAINBOW_X = '{"polys": [[1]], "role": "rainbow"}'
 MONO_3AP = '{"polys": [[1], [2]], "role": "mono"}'
+AP4 = '{"polys": [[1], [2], [3]]}'
 
 
 @pytest.fixture
@@ -229,20 +230,24 @@ def test_extremal(files, capsys):
     # A node budget that runs out is an error, not "no colourings".
     code, out, err = run(
         capsys, "extremal", "--mono", mono, "--no-rainbow", "--max-classes", "2",
-        "--n-limit", "8", "--at-length", "8", "--node-budget", "20",
+        "--at-length", "8", "--node-budget", "20",
     )
     assert (code, out, err) == (2, "", "error: search exceeded its node budget of 20\n")
-    # A length out of range names the flags that set it.
-    for length, message in (
-        ("13", "--at-length 13 exceeds --n-limit 12"),
-        ("0", "--at-length must be positive, got 0"),
-    ):
-        code, out, err = run(capsys, "extremal", "--mono", mono, "--at-length", length)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, "extremal", "--mono", mono, "--at-length", "0")
+    assert (code, out, err) == (2, "", "error: --at-length must be positive, got 0\n")
+    # Any positive length is answered: number's default --n-limit 12 does
+    # not bound it (canonical 4-AP, the line CI pins).
+    ap4 = files("ap4.json", AP4)
     code, out, err = run(
-        capsys, "extremal", "--mono", mono, "--max-classes", "2", "--at-length", "8", "--n-start", "9",
+        capsys, "extremal", "--mono", ap4, "--rainbow", ap4, "--at-length", "13", "--limit", "3",
     )
-    assert (code, out, err) == (2, "", "error: --at-length 8 is below --n-start 9\n")
+    assert (code, out) == (0, "0 0 0 1 0 0 1 0 0 0 1 1 1\n0 0 0 1 0 0 1 0 0 0 1 1 2\n0 0 0 1 0 0 1 0 0 0 1 2 1\n")
+    # number's range, worker and timing flags are not extremal's.
+    for flag in (("--n-start", "9"), ("--n-limit", "8"), ("--threads", "1"), ("--timing",)):
+        with pytest.raises(SystemExit) as exc:
+            main(["extremal", "--mono", mono, "--at-length", "8", *flag])
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err, flag
 
 
 def test_hvalue_and_weight(files, capsys):
@@ -450,9 +455,14 @@ def test_outsized_flags_are_input_errors(files, capsys):
     # Each fails at once: a huge length or step cap asks for a list or
     # range too large to allocate or to index.
     pair = files("fam.json", '{"polys": [[1], [0, 1]], "role": "rainbow"}')
+    mono = files("mono.json", MONO_3AP)
     for argv in (
         ("enumerate", "--length", str(10**18)),
         ("enumerate", "--length", str(10**19)),
+        ("number", "--mono", mono, "--n-limit", str(10**18)),
+        ("number", "--mono", mono, "--n-limit", str(10**19)),
+        ("extremal", "--mono", mono, "--at-length", str(10**18)),
+        ("extremal", "--mono", mono, "--at-length", str(10**19)),
         ("bstar", "--family", pair, "--d-cap", str(10**18)),
         ("bstar", "--family", pair, "--d-cap", str(10**19)),
     ):

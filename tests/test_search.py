@@ -70,8 +70,9 @@ def test_extremal_colourings():
     assert extremal_colourings(LINEAR, 2) == []
     with pytest.raises(ValueError):
         extremal_colourings(W32, 0)
-    with pytest.raises(ValueError):
-        extremal_colourings(W32, 99)
+    # The walk reads neither n_start nor n_limit: a length past n_limit is
+    # answered, and the same as under an n_limit that covers it.
+    assert extremal_colourings(W32, 99) == [] == extremal_colourings(replace(W32, n_limit=99), 99)
     with pytest.raises(ValueError):
         extremal_colourings(W32, 8, limit=0)
     # A walk cut short by its node budget has no complete list to give; it
