@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 
 from .coloring import TypedColouring, restricted_growth_strings
@@ -32,6 +36,11 @@ from .witness import (
 )
 
 NAIVE_ENUMERATION_CAP = 2_000_000
+
+# The exact walk tests at most this many prefixes at once.
+BLOCK = 1024
+# The exact walk packs its lanes in the byte order memoryview reads.
+ORDER = sys.byteorder
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -116,191 +125,208 @@ def _self_check(cfg: SearchConfig, colouring: TypedColouring) -> None:
 
 def _probes(
     cfg: SearchConfig, depth_cap: int
-) -> tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]], int]:
-    """The walk's probes, built once from the step scan's slots at depth_cap.
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], int]:
+    """The walks' probes, built once from the step scan's slots at depth_cap.
 
     A probe is a witness whose largest element is the newest position, as
-    the bitmask of its other elements' distances back from that position.
-    Returns the mono masks and the rainbow (mask, distances) pairs, each
-    de-duplicated in step-scan order, rainbow sorted by mask and so by
-    reach, and the rainbow member count (0 without a rainbow probe).
-    Equal positions at one depth are equal distances, so a mono mask may
-    have fewer bits than the family has members, or none.
+    the ascending distances of its other elements back from that position.
+    Returns the mono and the rainbow probes, each de-duplicated and sorted
+    by reach (the largest distance), and the rainbow member count (0
+    without a rainbow probe).  Equal positions at one depth are equal
+    distances, so a mono probe may have fewer distances than the family
+    has members, or none.
     """
-    mono: dict[int, None] = {}
-    rain: dict[int, tuple[int, ...]] = {}
+    mono: set[tuple[int, ...]] = set()
+    rain: set[tuple[int, ...]] = set()
     steps = admitted_steps(cfg.mono_family, cfg.rainbow_family, depth_cap, cfg.h, cfg.d_policy)
     for _, step in steps:
         for kind, offsets, _, _ in step:
-            dists = {max(offsets) - off for off in offsets} - {0}
-            mask = sum(1 << k for k in dists)
-            if kind == KIND_MONO:
-                mono[mask] = None
-            else:
-                rain[mask] = tuple(dists)
+            last = max(offsets)
+            dists = tuple(sorted({last - off for off in offsets} - {0}))
+            (mono if kind == KIND_MONO else rain).add(dists)
     members = len(cfg.rainbow_family.polys) if rain else 0
-    return tuple(mono), sorted(rain.items()), members
+    return sorted(mono, key=lambda ks: ks[-1:]), sorted(rain, key=lambda ks: ks[-1:]), members
 
 
 def _run_tree(cfg: SearchConfig) -> tuple[list[int] | None, int]:
     """The exact walk: every witness-free prefix up to length cfg.n_limit.
 
-    The walk is depth first with children in label order.  It keeps its
-    position in per-depth stacks rather than on the call stack, so depth
-    is not limited by recursion.  Returns (per-length counts, or None if
-    the budget ran out; nodes expanded).  It visits every witness-free
-    prefix, so its counts hold for every length up to n_limit;
-    _look_ahead_walk answers the one-length question instead.
+    Returns (per-length counts, or None if the budget ran out; nodes
+    expanded).  It visits every witness-free prefix, so its counts hold
+    for every length up to n_limit; _look_ahead_walk answers the
+    one-length question instead.
 
-    The probes (see _probes) have the same shape at every depth.  Position
-    i is bit top - i of masks[c] while it has class c, top = n_limit - 1,
-    so at depth t, mv = masks[v] >> (top - t) has bit k set iff the
-    position k back has label v, and no bit past t.  Child label v
-    completes a mono probe pm iff mv & pm == pm: a probe reaching before
-    position 0 has a bit mv lacks, and an empty pm, from a zero member,
-    repeated members or d = 0, always blocks.
+    The walk takes blocks of at most BLOCK witness-free prefixes of one
+    length t from an explicit stack, depth first, so depth is not limited
+    by recursion.  A row of a block is one prefix as bytes: a lane holding
+    its class count, then one lane per label.  Lanes are the narrowest of
+    1, 2, 4 or 8 bytes that keep every label and count below the lane's
+    top bit.  A column is one lane of every row as an int, and a set of
+    rows is an int with the top bit of row r's lane set iff r is in it, so
+    one big-int operation tests every row of the block.
 
-    Rainbow blocking is one bitset of allowed labels per depth.  Position i
-    also holds the bit 1 << labels[i].  On entering depth t the walk ORs
-    those bits over the earlier positions of each rainbow probe that fits.
-    Admitted rainbow steps never repeat a position, so the probe's labels
-    are pairwise distinct iff the OR has one bit per rainbow member; the
-    probe is then open, and its OR is the set of labels that do not
-    complete it.  allow is the AND of the open probes' ORs, or -1 when none
-    is open, and child v is blocked iff bit v of allow is clear.  A fresh
-    label is in no OR, so it is blocked iff some probe is open.
+    Child label v is tried on the rows using at least v classes, v below
+    the cap, and each try is one node.  Label v at position t completes a
+    mono probe (see _probes) iff it sits at every position t - k of the
+    probe: an AND of per-position "label == v" sets, each a zero-lane test
+    of a column XOR v.  An empty probe, from a zero member, repeated
+    members or d = 0, blocks the first child, and so every prefix.  In a
+    restricted growth string label v first occurs at position v or later,
+    so the walk tries only the mono probes reaching no further back than
+    that, and none for a label no row has used.  A rainbow probe is open
+    on the rows whose labels at its positions are pairwise distinct, and
+    then blocks every label but those.  It can block a child only on a row
+    with more labels to choose from than the family has members, so the
+    walk tries no rainbow probe on a block without such a row.
 
-    The children of a node at depth top are leaves, so the walk counts
-    them at their parent instead of visiting each.  A nonzero mono
-    probe can complete only with the label of its nearest position, which
-    gives one banned label per probe; the leaves are the labels in allow
-    and not banned.  They still count one node each, and the walk stops
-    on a budget exactly where a visit of each leaf in label order would.
+    The survivors for each v, gathered with itertools.compress, are the
+    next length's rows; those of length n_limit are counted, not built.
+    Every child of a block is tried before any is kept, so the order of
+    blocks changes no count: the walk aborts iff its total passes the
+    budget, and then reports budget + 1.  Under self_check every blocked
+    child goes to _self_check.
     """
     depth_cap = cfg.n_limit
     # Allocated first, so that a length too large to hold fails at once.
     counts = [0] * (depth_cap + 1)
     counts[0] = 1
-    mono_t, rain_t, members = _probes(cfg, depth_cap)
+    mono, rain, members = _probes(cfg, depth_cap)
     self_check = cfg.self_check
-    top = depth_cap - 1
-    if top == 0:
-        # One colouring of length 1, blocked only by an empty mono probe.
-        if 0 in mono_t:
-            if self_check:
-                _self_check(cfg, TypedColouring.single([0]))
-            return [1, 0], 1
-        return [1, 1], 1
-    # The mono probes that fit at the last depth, with the position of
-    # their nearest element there.  No node survives an empty probe.
-    last = [(pm, top - (pm & -pm).bit_length() + 1) for pm in mono_t if 0 < pm < 2 << top]
-
-    # A prefix using `full` classes may not open a fresh one (-1: no cap).
-    full = -1 if cfg.max_classes is None else cfg.max_classes
-    budget = math.inf if cfg.node_budget is None else cfg.node_budget
-    # labels[:depth] is the current prefix, using used[depth] classes;
-    # labels[depth] is the last label tried at position depth.  bits[i] is
-    # 1 << labels[i], kept only for a rainbow family, and allows[depth] the
-    # labels no open rainbow probe forbids at depth, -1 without one.
-    labels = [-1] * depth_cap
-    used = [0] * depth_cap
-    masks = [0] * depth_cap
-    bits = [0] * depth_cap
-    allows = [-1] * depth_cap
-    allow = nxt = -1
-    nodes = 0
-    depth = 0
-    while True:
-        v = labels[depth] + 1
-        u = used[depth]
-        if v > u or v == u == full:
-            if depth == 0:
-                break
-            depth -= 1
-            masks[labels[depth]] ^= 1 << (top - depth)
-            allow = allows[depth]
-            continue
-        labels[depth] = v
-        nodes += 1
-        if nodes > budget:
-            return None, nodes
-        mv = masks[v] >> (top - depth)
-        for pm in mono_t:
-            if mv & pm == pm:
-                break
-        else:
-            # No mono probe completes; the child survives if allow has it.
-            if allow >> v & 1:
-                counts[depth + 1] += 1
-                bit = 1 << (top - depth)
-                masks[v] |= bit
-                if v == u:
-                    u += 1
-                if rain_t:
-                    bits[depth] = 1 << v
-                    t = depth + 1
-                    fits = 2 << t
-                    nxt = -1
-                    for pm, ks in rain_t:
-                        if pm >= fits:
-                            break
-                        seen = 0
-                        for k in ks:
-                            seen |= bits[t - k]
-                        if seen.bit_count() == members:
-                            nxt &= seen
-                if depth + 1 < top:
-                    depth += 1
-                    labels[depth] = -1
-                    used[depth] = u
-                    allow = allows[depth] = nxt
-                    continue
-                # The children are leaves: count them here.
-                lim = u if u == full else u + 1
-                ban = 0
-                for pm, pos in last:
-                    w = labels[pos]
-                    if masks[w] & pm == pm:
-                        ban |= 1 << w
-                free = nxt & ~ban & ((1 << lim) - 1)
-                if self_check:
-                    # The blocked leaves a visit would reach before the budget.
-                    for w in range(min(lim, budget - nodes)):
-                        if not free >> w & 1:
-                            _self_check(cfg, TypedColouring.single(labels[:top] + [w]))
-                nodes += lim
-                if nodes > budget:
-                    return None, budget + 1
-                counts[depth_cap] += free.bit_count()
-                masks[v] ^= bit
-                continue
+    if () in mono:
         if self_check:
-            _self_check(cfg, TypedColouring.single(labels[: depth + 1]))
+            _self_check(cfg, TypedColouring.single([0]))
+        return counts, 1
+    mono_reach = [ks[-1] for ks in mono]
+    rain_reach = [ks[-1] for ks in rain]
+    top = depth_cap - 1
+    full = -1 if cfg.max_classes is None else cfg.max_classes
+    bound = depth_cap if full < 0 else min(full, depth_cap)
+    width, code = next(
+        (size, fmt) for size, fmt in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if bound < 1 << 8 * size - 1
+    )
+    bits = 8 * width
+    budget = math.inf if cfg.node_budget is None else cfg.node_budget
+    nodes = 0
+    stack = [(0, [bytes(width)])]
+    while stack:
+        t, rows = stack.pop()
+        size = len(rows) * width
+        ones = ((1 << 8 * size) - 1) // ((1 << bits) - 1)
+        high = ones << bits - 1
+        low = high - ones
+        data = b"".join(rows)
+        if width > 1:
+            # Slicing bytes is faster, but takes one byte per lane.
+            data = memoryview(data).cast(code)
+        cols: dict[int, int] = {}
+
+        def column(p: int) -> int:
+            # Lane p of every row: lane 0 is the class count, lane 1 + i
+            # the label at position i.
+            c = cols.get(p)
+            if c is None:
+                c = cols[p] = int.from_bytes(data[p :: t + 1], ORDER)
+            return c
+
+        def equal(p: int) -> int:
+            # The rows with label v at position p.
+            e = eqs.get(p)
+            if e is None:
+                e = eqs[p] = high ^ ((column(p + 1) ^ vv) + low & high)
+            return e
+
+        def picked(chosen: int) -> Iterator[bytes]:
+            return compress(rows, memoryview(chosen.to_bytes(size, ORDER)).cast(code))
+
+        # ge[v]: the rows using at least v classes, up to v = the cap or
+        # the first v no row reaches.  Label v is tried on ge[v] below the
+        # cap, and ge[v + 1] are the rows that already use it.
+        base = column(0) + high
+        ge = [high]
+        while ge[-1] and len(ge) - 1 != full:
+            ge.append(base - len(ge) * ones & high)
+        nodes += sum(g.bit_count() for g in ge[:-1])
+        if nodes > budget:
+            return None, budget + 1
+        opens = []
+        if len(ge) - 1 > members:
+            for ks in rain[: bisect_right(rain_reach, t)]:
+                ps = [t - k for k in ks]
+                cs = [column(p + 1) for p in ps]
+                op = high
+                for i, a in enumerate(cs):
+                    for b in cs[:i]:
+                        op &= (a ^ b) + low
+                if op & high:
+                    opens.append((ps, op & high))
+        kids: list[bytes] = []
+        for v in range(len(ge) - 1):
+            cand, old = ge[v], ge[v + 1]
+            vv = v * ones
+            eqs: dict[int, int] = {}
+            blocked = 0
+            if old:
+                for i in range(bisect_right(mono_reach, t - v) - 1, -1, -1):
+                    m = old
+                    for k in mono[i]:
+                        m &= equal(t - k)
+                        if not m:
+                            break
+                    else:
+                        blocked |= m
+                        if blocked == old:
+                            # Every row using v is blocked already.
+                            break
+            for ps, op in opens:
+                has = 0
+                if old:
+                    for p in ps:
+                        if p >= v:
+                            has |= equal(p)
+                blocked |= op & ~has
+            live = cand & ~blocked
+            counts[t + 1] += live.bit_count()
+            if self_check and live != cand:
+                for row in picked(cand ^ live):
+                    _self_check(cfg, TypedColouring.single([*memoryview(row).cast(code)[1:], v]))
+            if live and t < top:
+                vb = v.to_bytes(width, ORDER)
+                keep = live & old
+                if keep:
+                    kids += [row + vb for row in picked(keep)]
+                if keep != live:
+                    # v is a fresh label here: the class count becomes v + 1.
+                    vc = (v + 1).to_bytes(width, ORDER)
+                    kids += [vc + row[width:] + vb for row in picked(live ^ keep)]
+        for i in range(0, len(kids), BLOCK):
+            stack.append((t + 1, kids[i : i + BLOCK]))
     return counts, nodes
 
 
 def _look_ahead_walk(
     cfg: SearchConfig, depth_cap: int, limit: int | None
 ) -> tuple[list[tuple[int, ...]] | None, int]:
-    """The look-ahead walk: the exact walk's depth-first order, which also
-    cuts a prefix as soon as some later position up to depth_cap has no
+    """The look-ahead walk: depth first with children in label order, and
+    it cuts a prefix as soon as some later position up to depth_cap has no
     label left.  Such a prefix has no witness-free completion, so the
-    colourings of length depth_cap and their order are the exact walk's.
+    colourings of length depth_cap are the exact walk's.
     Returns (the first limit of them in lexicographic order, all when
     limit is None, or None if the budget ran out; nodes expanded).  The
     walk stops once it has kept limit of them.
 
     avail[j] is the set of labels no probe forbids at position j, -1
     (every label) when uncapped and nothing is forbidden.  A probe's
-    nearest other element lies low = (pm & -pm).bit_length() - 1 before
-    its completing position, so placing v at t settles exactly the probes
+    nearest other element lies low, its least distance, before its
+    completing position, so placing v at t settles exactly the probes
     that complete at j = t + low and have every other element at or before
     t.  A mono probe whose other elements all hold v removes v from
     avail[j].  An open rainbow probe ANDs avail[j] with the OR of its
-    labels, which removes every fresh label too.  Uncapped, mono removals
-    alone never empty avail[j], since its fresh labels stay; a rainbow
-    probe can.  A placement that changes avail first saves the span of it
-    that the probes reach, and restores it when the label is undone.
+    labels, which removes every fresh label too, unless the cap is at most
+    the member count: then those labels are every label, and the walk
+    tries no rainbow probe.  Uncapped, mono removals alone never empty
+    avail[j], since its fresh labels stay; a rainbow probe can.  A
+    placement that changes avail first saves the span of it that the
+    probes reach, and restores it when the label is undone.
 
     A node is a label placed at a position; a label avail already rules
     out there is never tried and is no node.  The leaves below a node at
@@ -317,16 +343,18 @@ def _look_ahead_walk(
     top = depth_cap - 1
     budget = math.inf if cfg.node_budget is None else cfg.node_budget
     self_check = cfg.self_check
-    if 0 in mono_t:
+    if () in mono_t:
         # An empty mono probe forbids every label at every position.
         if self_check:
             _check_cut(mono_t, rain_t, [], 0, [0])
         return [], 0
     if top == 0:
         return [(0,)], 1
-    mono_fw = sorted(((pm & -pm).bit_length() - 1, pm) for pm in mono_t)
-    rain_fw = sorted(((pm & -pm).bit_length() - 1, pm, ks) for pm, ks in rain_t)
+    # Each probe as its nearest distance and the bitmask of its distances.
+    mono_fw = sorted((ks[0], sum(1 << k for k in ks)) for ks in mono_t)
+    rain_fw = sorted((ks[0], sum(1 << k for k in ks), ks) for ks in rain_t)
     reach = max((probe[0] for probe in mono_fw + rain_fw), default=0)
+    rain_cuts = members > 0 and not 0 < full <= members
     kept: list[tuple[int, ...]] = []
     # labels[:depth] is the current prefix; used[depth] the classes it uses,
     # cands[depth] the labels still to place at depth, and saved[depth] the
@@ -376,7 +404,7 @@ def _look_ahead_walk(
                     if not a:
                         cut = j
                         break
-        if cut < 0 and members:
+        if cut < 0 and rain_cuts:
             for low, pm, ks in rain_fw:
                 if low > s:
                     break
@@ -433,8 +461,8 @@ def _look_ahead_walk(
 
 
 def _check_cut(
-    mono_t: tuple[int, ...],
-    rain_t: list[tuple[int, tuple[int, ...]]],
+    mono_t: list[tuple[int, ...]],
+    rain_t: list[tuple[int, ...]],
     prefix: list[int],
     j: int,
     ruled_out: range | list[int],
@@ -447,14 +475,13 @@ def _check_cut(
     # every fresh label: no probe tells fresh labels apart.
     t = len(prefix)
     base = prefix + [0] * (j - t)
-    shapes = [(pm, [k for k in range(pm.bit_length()) if pm >> k & 1], False) for pm in mono_t]
-    shapes += [(pm, list(ks), True) for pm, ks in rain_t]
+    shapes = [(ks, False) for ks in mono_t] + [(ks, True) for ks in rain_t]
     for w in ruled_out:
         colouring = TypedColouring.single(base + [w])
-        for pm, dists, rainbow in shapes:
-            if pm >= 2 << j or (pm and min(dists) <= j - t):
+        for ks, rainbow in shapes:
+            if ks and (ks[-1] > j or ks[0] <= j - t):
                 continue
-            elems = tuple(j + 1 - k for k in [0, *dists])
+            elems = tuple(j + 1 - k for k in [0, *ks])
             if is_rainbow(colouring, elems) if rainbow else is_monochromatic(colouring, elems):
                 break
         else:

@@ -580,6 +580,58 @@ def test_walk_matches_a_plain_recursive_walk():
         assert _run_tree(cut) == reference_walk(cut, 6)[:2], budget
 
 
+def test_walk_is_the_same_at_every_block_size(monkeypatch):
+    # The walk tests up to BLOCK prefixes of one length at once, so with
+    # small blocks every level spans many of them.  Wherever the levels are
+    # split, the counts, nodes, abort point and self-checked colourings
+    # must be the same.
+    w33 = SearchConfig(mono_family=fam([1], [2]), max_classes=3, n_limit=30)
+    ap4 = SearchConfig(
+        mono_family=fam([1], [2], [3]), rainbow_family=fam([1], [2], [3], role="rainbow"), n_limit=11
+    )
+    checked = replace(AP3, n_limit=8, self_check=True)
+    seen = []
+    real_check = canvdw.search._self_check
+
+    def recording_check(cfg, colouring):
+        seen.append(colouring.coordinate(1))
+        real_check(cfg, colouring)
+
+    monkeypatch.setattr(canvdw.search, "_self_check", recording_check)
+    cases = (w33, ap4, AP3, checked)
+    walks = [_run_tree(cfg) for cfg in cases]
+    checks = sorted(seen)
+    assert [nodes for _, nodes in walks[:2]] == [337640, 96517]
+    assert walks[2] == reference_walk(AP3, AP3.n_limit)[:2]
+    assert walks[3] == reference_walk(checked, 8)[:2]
+    counts, nodes = walks[3]
+    assert len(checks) == nodes - sum(counts[1:])
+    for size in (1, 2, 3, 7):
+        monkeypatch.setattr(canvdw.search, "BLOCK", size)
+        seen.clear()
+        assert [_run_tree(cfg) for cfg in cases] == walks, size
+        assert sorted(seen) == checks, size
+        nodes = walks[2][1]
+        assert _run_tree(replace(AP3, node_budget=nodes)) == walks[2]
+        assert _run_tree(replace(AP3, node_budget=nodes - 1)) == (None, nodes)
+
+
+def test_walk_takes_labels_wider_than_a_byte():
+    # Mono {x} forbids any repeated label, so uncapped the one witness-free
+    # colouring of each length is the all-distinct one, and after it of
+    # length t the walk tries t + 1 labels.  Past 127 classes the walk
+    # packs labels in wider lanes.
+    res = canonical_number(SearchConfig(mono_family=fam([1]), n_limit=300))
+    assert res.witness_free_per_length == (1,) * 300
+    assert res.nodes_expanded == 45_150 == sum(t + 1 for t in range(300))
+    # Canonical 3-AP dies at 9 whatever the limit, so a limit of 200 walks
+    # the same tree in wide lanes, here under self_check.
+    wide = canonical_number(replace(AP3, n_limit=200, self_check=True))
+    narrow = canonical_number(AP3)
+    assert wide.witness_free_per_length == narrow.witness_free_per_length + (0,) * 188
+    assert (wide.canonical_number, wide.nodes_expanded) == (9, narrow.nodes_expanded)
+
+
 def test_look_ahead_keeps_what_the_exact_walk_keeps():
     # The look-ahead walk cuts a prefix once some later position has no
     # label left.  Against the plain recursive walk it must keep the same
