@@ -37,8 +37,8 @@ from .witness import (
 
 NAIVE_ENUMERATION_CAP = 2_000_000
 
-# The exact walk tests at most this many prefixes at once.
-BLOCK = 1024
+# The exact walk tests at most this many prefixes at once (see _run_tree).
+BLOCK = 4096
 # The exact walk packs its lanes in the byte order memoryview reads.
 ORDER = sys.byteorder
 
@@ -158,12 +158,20 @@ def _run_tree(cfg: SearchConfig) -> tuple[list[int] | None, int]:
 
     The walk takes blocks of at most BLOCK witness-free prefixes of one
     length t from an explicit stack, depth first, so depth is not limited
-    by recursion.  A row of a block is one prefix as bytes: a lane holding
-    its class count, then one lane per label.  Lanes are the narrowest of
-    1, 2, 4 or 8 bytes that keep every label and count below the lane's
-    top bit.  A column is one lane of every row as an int, and a set of
-    rows is an int with the top bit of row r's lane set iff r is in it, so
-    one big-int operation tests every row of the block.
+    by recursion.  A block pays a fixed number of big-int operations per
+    label and probe, however many rows it holds, while building its
+    children's bytes costs the same per child at any size; a larger block
+    spreads that fixed work over more rows, but its columns, row sets and
+    pending children take more memory.  At 4,096 rows canonical 4-AP to
+    length 13 peaks near 2 MiB, against 0.6 MiB at 1,024 and 3 MiB at
+    8,192, and runs about a fifth faster than at 1,024.
+
+    A row of a block is one prefix as bytes: a lane holding its class
+    count, then one lane per label.  Lanes are the narrowest of 1, 2, 4
+    or 8 bytes that keep every label and count below the lane's top bit.
+    A column is one lane of every row as an int, and a set of rows is an
+    int with the top bit of row r's lane set iff r is in it, so one big-int
+    operation tests every row of the block.
 
     Child label v is tried on the rows using at least v classes, v below
     the cap, and each try is one node.  Label v at position t completes a
@@ -326,7 +334,11 @@ def _look_ahead_walk(
     tries no rainbow probe.  Uncapped, mono removals alone never empty
     avail[j], since its fresh labels stay; a rainbow probe can.  A
     placement that changes avail first saves the span of it that the
-    probes reach, and restores it when the label is undone.
+    probes reach, and restores it when the label is undone.  A probe can
+    settle nothing before the walk is as deep as its reach less its least
+    distance, so the walk keeps only the probes within twice the deepest
+    depth it has placed at: a walk that dies early costs memory with the
+    depth it reaches, not with the square of depth_cap.
 
     A node is a label placed at a position; a label avail already rules
     out there is never tried and is no node.  The leaves below a node at
@@ -350,10 +362,8 @@ def _look_ahead_walk(
         return [], 0
     if top == 0:
         return [(0,)], 1
-    # Each probe as its nearest distance and the bitmask of its distances.
-    mono_fw = sorted((ks[0], sum(1 << k for k in ks)) for ks in mono_t)
-    rain_fw = sorted((ks[0], sum(1 << k for k in ks), ks) for ks in rain_t)
-    reach = max((probe[0] for probe in mono_fw + rain_fw), default=0)
+    mono_lo, rain_lo = sorted(mono_t), sorted(rain_t)
+    wide = -1
     rain_cuts = members > 0 and not 0 < full <= members
     kept: list[tuple[int, ...]] = []
     # labels[:depth] is the current prefix; used[depth] the classes it uses,
@@ -385,16 +395,26 @@ def _look_ahead_walk(
         nodes += 1
         if nodes > budget:
             return None, nodes
+        if depth > wide:
+            # Keep the probes that look back, from their nearest other
+            # element, at most twice the depth; a mono probe's mask has bit
+            # k - low for each distance k.
+            wide = 2 * depth
+            mono_fw = [(ks[0], sum(1 << k - ks[0] for k in ks)) for ks in mono_lo if ks[-1] - ks[0] <= wide]
+            rain_fw = [(ks[0], ks[-1] - ks[0], ks) for ks in rain_lo if ks[-1] - ks[0] <= wide]
+            reach = max((probe[0] for probe in mono_fw + rain_fw), default=0)
         labels[depth] = v
         bits[depth] = b
         s = top - depth
         mv = masks[v] = masks[v] | 1 << s
+        # Bit i of m: position depth - i holds v.
+        m = mv >> s
         sv = ()
         cut = -1
         for low, pm in mono_fw:
             if low > s:
                 break
-            if mv >> (s - low) & pm == pm:
+            if m & pm == pm:
                 j = depth + low
                 a = avail[j]
                 if a >> v & 1:
@@ -405,12 +425,12 @@ def _look_ahead_walk(
                         cut = j
                         break
         if cut < 0 and rain_cuts:
-            for low, pm, ks in rain_fw:
+            for low, back, ks in rain_fw:
                 if low > s:
                     break
-                j = depth + low
-                if pm >= 2 << j:
+                if back > depth:
                     continue
+                j = depth + low
                 seen = 0
                 for k in ks:
                     seen |= bits[j - k]

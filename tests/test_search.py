@@ -408,6 +408,38 @@ def test_deep_walk_memory_is_linear_in_depth():
     assert peak < 16 << 20
 
 
+def test_look_ahead_memory_grows_with_the_depth_reached():
+    # W(3;2) dies at depth 9, so a look-ahead walk at length 5000 places
+    # labels no deeper.  It must build masks only for the probes that can
+    # fire at the depths it reaches, not one as wide as each probe's reach
+    # for every probe that fits in the length.
+    tracemalloc.start()
+    try:
+        kept, nodes = _look_ahead_walk(W32, 5000, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (kept, nodes) == ([], 28)
+    assert peak < 1 << 20
+
+
+def test_walk_memory_at_the_default_block():
+    # The exact walk holds a block's rows, columns and row sets, and the
+    # pending blocks on its stack; at the default block canonical 4-AP to
+    # 13, whose levels span many blocks, stays under 3 MiB.
+    ap4 = SearchConfig(
+        mono_family=fam([1], [2], [3]), rainbow_family=fam([1], [2], [3], role="rainbow"), n_limit=13
+    )
+    tracemalloc.start()
+    try:
+        counts, nodes = _run_tree(ap4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (counts[13], nodes) == (377187, 937248)
+    assert peak < 3 << 20
+
+
 def test_run_report_shape():
     import json
 
@@ -602,11 +634,18 @@ def test_walk_is_the_same_at_every_block_size(monkeypatch):
     walks = [_run_tree(cfg) for cfg in cases]
     checks = sorted(seen)
     assert [nodes for _, nodes in walks[:2]] == [337640, 96517]
+    # At the default block canonical 4-AP's length-12 level spans many
+    # blocks.
+    counts, nodes = _run_tree(replace(ap4, n_limit=13))
+    assert (counts[12:], nodes) == ([135027, 377187], 937248)
+    assert counts[12] > 32 * canvdw.search.BLOCK
     assert walks[2] == reference_walk(AP3, AP3.n_limit)[:2]
     assert walks[3] == reference_walk(checked, 8)[:2]
     counts, nodes = walks[3]
     assert len(checks) == nodes - sum(counts[1:])
-    for size in (1, 2, 3, 7):
+    # Sizes 1 to 7 split every level into many blocks; 1 << 20 holds each
+    # level of these cases, 43,896 rows at most, in one block.
+    for size in (1, 2, 3, 7, 1 << 20):
         monkeypatch.setattr(canvdw.search, "BLOCK", size)
         seen.clear()
         assert [_run_tree(cfg) for cfg in cases] == walks, size
