@@ -17,6 +17,7 @@ has no other effect.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -179,7 +180,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves no state on the parser.
     parser = argparse.ArgumentParser(
         prog="canvdw",
         description="Witness search and certificates for typed interval colourings.",

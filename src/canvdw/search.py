@@ -18,7 +18,7 @@ import time
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 
 from .coloring import TypedColouring, restricted_growth_strings
@@ -163,8 +163,8 @@ def _run_tree(cfg: SearchConfig) -> tuple[list[int] | None, int]:
     children's bytes costs the same per child at any size; a larger block
     spreads that fixed work over more rows, but its columns, row sets and
     pending children take more memory.  At 4,096 rows canonical 4-AP to
-    length 13 peaks near 2 MiB, against 0.6 MiB at 1,024 and 3 MiB at
-    8,192, and runs about a fifth faster than at 1,024.
+    length 13 peaks near 1 MiB, against 0.3 MiB at 1,024 and 1.8 MiB at
+    8,192, and runs about a quarter faster than at 1,024.
 
     A row of a block is one prefix as bytes: a lane holding its class
     count, then one lane per label.  Lanes are the narrowest of 1, 2, 4
@@ -172,6 +172,16 @@ def _run_tree(cfg: SearchConfig) -> tuple[list[int] | None, int]:
     A column is one lane of every row as an int, and a set of rows is an
     int with the top bit of row r's lane set iff r is in it, so one big-int
     operation tests every row of the block.
+
+    A pending block is one bytes object: its rows in order, each followed
+    by a separator lane, so no Python step runs per row.  One split gives
+    the rows back, and a block's children take one join per label, with v
+    and the separator between the chosen rows.  The separator is 0xFF,
+    then 0xFE bytes.  A lane-wide window that starts inside a row covers
+    the top byte of one of its lanes, which is below 0x80, or, in
+    big-endian order, the separator's 0xFF at other than the window's
+    first place; either way it is no separator, so in either byte order
+    split cuts exactly where the separators were put.
 
     Child label v is tried on the rows using at least v classes, v below
     the cap, and each try is one node.  Label v at position t completes a
@@ -215,14 +225,16 @@ def _run_tree(cfg: SearchConfig) -> tuple[list[int] | None, int]:
     bits = 8 * width
     budget = math.inf if cfg.node_budget is None else cfg.node_budget
     nodes = 0
-    stack = [(0, [bytes(width)])]
+    # Ends every row of a pending block; no data lane can match it.
+    sep = b"\xff" + b"\xfe" * (width - 1)
+    stack = [(0, bytes(width) + sep)]
     while stack:
-        t, rows = stack.pop()
+        t, data = stack.pop()
+        rows = data.split(sep)[:-1]
         size = len(rows) * width
         ones = ((1 << 8 * size) - 1) // ((1 << bits) - 1)
         high = ones << bits - 1
         low = high - ones
-        data = b"".join(rows)
         if width > 1:
             # Slicing bytes is faster, but takes one byte per lane.
             data = memoryview(data).cast(code)
@@ -233,7 +245,7 @@ def _run_tree(cfg: SearchConfig) -> tuple[list[int] | None, int]:
             # the label at position i.
             c = cols.get(p)
             if c is None:
-                c = cols[p] = int.from_bytes(data[p :: t + 1], ORDER)
+                c = cols[p] = int.from_bytes(data[p :: t + 2], ORDER)
             return c
 
         def equal(p: int) -> int:
@@ -244,7 +256,9 @@ def _run_tree(cfg: SearchConfig) -> tuple[list[int] | None, int]:
             return e
 
         def picked(chosen: int) -> Iterator[bytes]:
-            return compress(rows, memoryview(chosen.to_bytes(size, ORDER)).cast(code))
+            # A bytes selector iterates faster than a cast memoryview.
+            lanes = chosen.to_bytes(size, ORDER)
+            return compress(rows, lanes if width == 1 else memoryview(lanes).cast(code))
 
         # ge[v]: the rows using at least v classes, up to v = the cap or
         # the first v no row reaches.  Label v is tried on ge[v] below the
@@ -267,7 +281,7 @@ def _run_tree(cfg: SearchConfig) -> tuple[list[int] | None, int]:
                         op &= (a ^ b) + low
                 if op & high:
                     opens.append((ps, op & high))
-        kids: list[bytes] = []
+        kids: list[bytes | bytearray] = []
         for v in range(len(ge) - 1):
             cand, old = ge[v], ge[v + 1]
             vv = v * ones
@@ -298,16 +312,22 @@ def _run_tree(cfg: SearchConfig) -> tuple[list[int] | None, int]:
                 for row in picked(cand ^ live):
                     _self_check(cfg, TypedColouring.single([*memoryview(row).cast(code)[1:], v]))
             if live and t < top:
-                vb = v.to_bytes(width, ORDER)
+                # Each child is its row, then v, then the separator.
+                tail = v.to_bytes(width, ORDER) + sep
                 keep = live & old
                 if keep:
-                    kids += [row + vb for row in picked(keep)]
+                    kids.append(tail.join(chain(picked(keep), (b"",))))
                 if keep != live:
                     # v is a fresh label here: the class count becomes v + 1.
-                    vc = (v + 1).to_bytes(width, ORDER)
-                    kids += [vc + row[width:] + vb for row in picked(live ^ keep)]
-        for i in range(0, len(kids), BLOCK):
-            stack.append((t + 1, kids[i : i + BLOCK]))
+                    fresh = bytearray(tail).join(chain(picked(live ^ keep), (b"",)))
+                    classes = (v + 1).to_bytes(width, ORDER) * (live ^ keep).bit_count()
+                    memoryview(fresh).cast(code)[:: t + 3] = memoryview(classes).cast(code)
+                    kids.append(fresh)
+        level = b"".join(kids)
+        del kids  # before the level is cut into blocks
+        step = BLOCK * (t + 3) * width
+        for i in range(0, len(level), step):
+            stack.append((t + 1, level[i : i + step]))
     return counts, nodes
 
 

@@ -108,6 +108,21 @@ def test_number_both_engines(files, capsys):
     assert (code, out) == (0, "9\n")
 
 
+def test_successive_calls_share_no_state(files, capsys):
+    # The parser is built once per process; a flag or an error of one call
+    # must not reach the next.
+    mono = files("mono.json", MONO_3AP)
+    capped = ("number", "--mono", mono, "--no-rainbow", "--max-classes", "2")
+    assert run(capsys, *capped) == (0, "9\n", "")
+    # Uncapped, all-distinct labels avoid every mono progression.
+    assert run(capsys, *capped[:4]) == (1, "", "no canonical number within n_limit=12\n")
+    with pytest.raises(SystemExit) as bad:
+        main([*capped[:5], "two"])
+    assert bad.value.code == 2
+    assert "invalid int value: 'two'" in capsys.readouterr().err
+    assert run(capsys, *capped) == (0, "9\n", "")
+
+
 def test_number_not_found(files, capsys):
     mono = files("mono.json", MONO_3AP)
     code, out, err = run(

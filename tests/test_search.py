@@ -425,8 +425,9 @@ def test_look_ahead_memory_grows_with_the_depth_reached():
 
 def test_walk_memory_at_the_default_block():
     # The exact walk holds a block's rows, columns and row sets, and the
-    # pending blocks on its stack; at the default block canonical 4-AP to
-    # 13, whose levels span many blocks, stays under 3 MiB.
+    # pending blocks on its stack, each one buffer; at the default block
+    # canonical 4-AP to 13, whose levels span many blocks, stays under
+    # 1.5 MiB.
     ap4 = SearchConfig(
         mono_family=fam([1], [2], [3]), rainbow_family=fam([1], [2], [3], role="rainbow"), n_limit=13
     )
@@ -437,7 +438,7 @@ def test_walk_memory_at_the_default_block():
     finally:
         tracemalloc.stop()
     assert (counts[13], nodes) == (377187, 937248)
-    assert peak < 3 << 20
+    assert peak < 3 << 19
 
 
 def test_run_report_shape():
@@ -669,6 +670,33 @@ def test_walk_takes_labels_wider_than_a_byte():
     narrow = canonical_number(AP3)
     assert wide.witness_free_per_length == narrow.witness_free_per_length + (0,) * 188
     assert (wide.canonical_number, wide.nodes_expanded) == (9, narrow.nodes_expanded)
+
+
+def test_walk_separates_rows_in_wide_lanes(monkeypatch):
+    # Pending prefixes are stored one after another, each ended by a
+    # separator lane.  Labels 255 and 511 in 2-byte lanes, and every label
+    # in 4-byte lanes, hold bytes of 0xFF; the rows must still come apart
+    # where they were joined.
+    counts, nodes = _run_tree(SearchConfig(mono_family=fam([1]), n_limit=520))
+    assert counts == [1] * 521
+    assert nodes == 135_460 == sum(t + 1 for t in range(520))
+    seen = []
+    real_check = canvdw.search._self_check
+
+    def recording_check(cfg, colouring):
+        seen.append(colouring.coordinate(1))
+        real_check(cfg, colouring)
+
+    monkeypatch.setattr(canvdw.search, "_self_check", recording_check)
+    narrow = replace(AP3, n_limit=12, self_check=True)
+    expected = reference_walk(narrow, 12)[:2]
+    assert _run_tree(narrow) == expected
+    narrow_checks = sorted(seen)
+    seen.clear()
+    counts, nodes = _run_tree(replace(narrow, n_limit=40_000))
+    assert (counts[:13], nodes) == expected
+    assert nodes == 205 and not any(counts[13:])
+    assert sorted(seen) == narrow_checks
 
 
 def test_look_ahead_keeps_what_the_exact_walk_keeps():
