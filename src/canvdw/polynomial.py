@@ -113,13 +113,40 @@ class PolynomialFamily:
     @classmethod
     def from_coeff_lists(cls, lists: Sequence[Sequence[int]], role: str = ROLE_MONO) -> "PolynomialFamily":
         """The family of a document's "polys" and "role", wherever it is
-        read; FormatError unless "polys" is a list of lists of ints."""
+        read; FormatError unless "polys" is a list of lists of ints.  Equal
+        reads of exact ints and an exact str role return the same family."""
+        global _families_held
         if not isinstance(lists, (list, tuple)) or not all(isinstance(cs, (list, tuple)) for cs in lists):
             raise FormatError("'polys' must be a list of coefficient lists")
+        members = tuple(map(tuple, lists))
+        # Checked before the lookup: True and 1.0 hash and compare equal to
+        # 1, and a str subclass to its text, so only exact reads are keyed.
+        exact = type(role) is str and all(type(c) is int for cs in members for c in cs)
+        if exact:
+            key = (cls, role, members)
+            family = _families.get(key)
+            if family is not None:
+                return family
         try:
-            return cls(tuple(IntegralPolynomial(tuple(cs)) for cs in lists), role)
+            family = cls(tuple(map(IntegralPolynomial, members)), role)
         except (TypeError, ValueError) as e:  # a coefficient that is not an int, or members unfit for the role
             raise FormatError(str(e)) from None
+        if exact:
+            size = len(members) + sum(map(len, members))
+            if _families_held + size > _FAMILY_TABLE_COEFFS:
+                _families.clear()
+                _families_held = 0
+            _families[key] = family
+            _families_held += size
+        return family
+
+
+# Families read by from_coeff_lists, keyed by (class, role, members) and
+# bounded by the coefficients they hold, one more per member so that zero
+# members count: past the bound the table is emptied before the next entry.
+_FAMILY_TABLE_COEFFS = 1 << 16
+_families: dict[tuple, PolynomialFamily] = {}
+_families_held = 0
 
 
 def shift_difference(p: IntegralPolynomial, h: int) -> IntegralPolynomial:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from math import inf
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -60,10 +61,7 @@ class Certificate:
         # The bytes of json.dumps(obj, indent=2) + "\n" for the object with
         # these keys in this order.  With indent set, json.dumps runs its
         # pure-Python encoder, which cost most of a certificate round trip.
-        polys = [
-            _json_array([_json(c, "        ") for c in p.coeffs], "      ")
-            for p in self.family.polys
-        ]
+        family = self.family
         return (
             '{\n  "kind": %s,\n  "a": %s,\n  "d": %s,\n  "elements": %s,\n  "evidence": %s,\n'
             '  "family": {\n    "polys": %s,\n    "role": %s\n  },\n'
@@ -74,8 +72,8 @@ class Certificate:
             _json(self.d, "  "),
             _json_array([_json(e, "    ") for e in self.elements], "  "),
             _json(self.evidence, "  "),
-            _json_array(polys, "    "),
-            _json(self.family.role, "    "),
+            _polys_text.get(family) or _polys_json(family),
+            _json(family.role, "    "),
             _json(self.digest, "  "),
             _json(self.d_policy, "  "),
             _json(self.h, "  "),
@@ -85,7 +83,11 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         try:
             obj = parse_json(text)
+            if not isinstance(obj, dict):
+                raise FormatError("expected a JSON object")
             fam = obj["family"]
+            if not isinstance(fam, dict):
+                raise FormatError("'family' must be a JSON object")
             family = PolynomialFamily.from_coeff_lists(fam["polys"], fam["role"])
             kind, a, d, elements, evidence, digest, d_policy, h = (
                 obj[key]
@@ -93,8 +95,8 @@ class Certificate:
             )
         except FormatError as e:
             raise FormatError(f"malformed certificate: {e.message}", e.line) from None
-        except (KeyError, TypeError) as e:
-            raise FormatError(f"malformed certificate: {e}") from None
+        except KeyError as e:  # only the lookups of keys above raise it
+            raise FormatError(f"malformed certificate: missing {e.args[0]!r} field") from None
         problem = None
         if not isinstance(kind, str):
             problem = "kind must be a string"
@@ -130,7 +132,7 @@ def _json(value, pad: str) -> str:
     if value is None:
         return "null"
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)  # what json.dumps(value) returns
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
@@ -140,6 +142,27 @@ def _json_array(items: list[str], pad: str) -> str:
         return "[]"
     inner = "\n  " + pad
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+# The "polys" text of each family to_json has written, bounded by the
+# characters it holds: past the bound the table is emptied before the next
+# entry.  Members hold exact ints, so equal families have equal text.
+_POLYS_TEXT_CHARS = 1 << 20
+_polys_text: dict[PolynomialFamily, str] = {}
+_polys_text_held = 0
+
+
+def _polys_json(family: PolynomialFamily) -> str:
+    global _polys_text_held
+    text = _json_array(
+        [_json_array([_json(c, "        ") for c in p.coeffs], "      ") for p in family.polys], "    "
+    )
+    if _polys_text_held + len(text) > _POLYS_TEXT_CHARS:
+        _polys_text.clear()
+        _polys_text_held = 0
+    _polys_text[family] = text
+    _polys_text_held += len(text)
+    return text
 
 
 class VerifyResult(NamedTuple):

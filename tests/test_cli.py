@@ -393,6 +393,9 @@ def test_malformed_inputs_carry_positions(files, capsys):
         (files("twins.json", json.dumps(dict(obj, family={"polys": [[1], [1]], "role": "rainbow"}))),
          ": malformed certificate: rainbow families must be pairwise distinct"),
         (files("huge.json", cert.replace('"d": 1', f'"d": {huge}')), ": malformed certificate: Exceeds the limit"),
+        (files("list.json", "[1, 2]"), ": malformed certificate: expected a JSON object\n"),
+        (files("strfam.json", json.dumps(dict(obj, family="x"))), ": malformed certificate: 'family' must be a JSON object\n"),
+        (files("noh.json", json.dumps({k: v for k, v in obj.items() if k != "h"})), ": malformed certificate: missing 'h' field\n"),
     ):
         code, out, err = run(capsys, "verify", "--colouring", ones, "--cert", path)
         assert (code, out) == (2, ""), path

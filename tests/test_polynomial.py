@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import canvdw.polynomial
 from canvdw.polynomial import (
     FormatError,
     IntegralPolynomial,
@@ -332,3 +333,84 @@ def test_parse_and_dump_family():
     except FormatError as e:
         err = e
     assert err is not None and err.line == 2
+
+
+class Tag(str):
+    """A str subclass: it equals its text, so a role of it passes as one."""
+
+
+def _read(lists, role="mono"):
+    # The reader's answer: its family, or its FormatError message.
+    try:
+        return PolynomialFamily.from_coeff_lists(lists, role)
+    except FormatError as e:
+        return e.message
+
+
+def test_family_table_cannot_alias(monkeypatch):
+    # Reads that only compare equal to [[1], [2]] must not get its family
+    # from the table: each gives what it gives on an empty table.
+    table: dict = {}
+    monkeypatch.setattr(canvdw.polynomial, "_families", table)
+    monkeypatch.setattr(canvdw.polynomial, "_families_held", 0)
+    lookalikes = (
+        ([[True], [2]], "mono"),
+        ([[1.0], [2]], "mono"),
+        ([[Loud(1)], [2]], "mono"),
+        ([[1], [2]], ["mono"]),
+        ([[1], [2]], None),
+        ([[1], [2]], Tag("mono")),
+        ([[1], [2]], "rainbow"),
+    )
+    cold = []
+    for lists, role in lookalikes:
+        table.clear()
+        cold.append(_read(lists, role))
+    assert cold[:5] == [
+        "coefficients must be ints, got True",
+        "coefficients must be ints, got 1.0",
+        "coefficients must be ints, got 1",
+        "unknown family role ['mono']",
+        "unknown family role None",
+    ]
+    table.clear()
+    first = _read([[1], [2]])
+    for (lists, role), want in zip(lookalikes, cold):
+        got = _read(lists, role)
+        assert got is not first and type(got) is type(want) and got == want, (lists, role)
+        if isinstance(got, PolynomialFamily):
+            assert type(got.role) is type(role)
+    # Equal exact-int reads share one family, whatever their containers.
+    assert _read([[1], [2]]) is first
+    assert _read(((1,), (2,))) is first
+    assert _read([[1], [2]], "rainbow") is _read([(1,), [2]], "rainbow")
+    # Trailing zeros key apart but read as equal families.
+    assert _read([[1, 0]]) == _read([[1]]) == _read([[1]])
+
+
+def test_family_table_evicts_within_its_bound(monkeypatch):
+    # Shrink the table to 40 held coefficients, one more per member, and
+    # read random families of up to 12 in a small pool, so that reads both
+    # hit and evict.  The table stays within the bound and every answer
+    # equals the family built without the reader.
+    table: dict = {}
+    monkeypatch.setattr(canvdw.polynomial, "_families", table)
+    monkeypatch.setattr(canvdw.polynomial, "_families_held", 0)
+    monkeypatch.setattr(canvdw.polynomial, "_FAMILY_TABLE_COEFFS", 40)
+    rng = random.Random(31)
+    pool = [
+        [[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(0, 3))]
+        for _ in range(40)
+    ]
+    hits = evictions = 0
+    for _ in range(600):
+        lists = rng.choice(pool)
+        before = dict(table)
+        got = PolynomialFamily.from_coeff_lists(lists)
+        assert got == fam(*lists)
+        key = (PolynomialFamily, "mono", tuple(map(tuple, lists)))
+        hits += key in before and got is before[key]
+        evictions += any(k not in table for k in before)
+        held = canvdw.polynomial._families_held
+        assert held == sum(len(k[2]) + sum(map(len, k[2])) for k in table) <= 40
+    assert hits > 100 and evictions > 20

@@ -7,8 +7,10 @@ import tracemalloc
 import pytest
 
 import canvdw.coloring
+import canvdw.polynomial
 import canvdw.witness
 from canvdw.coloring import TypedColouring, colouring_digest, enumerate_colourings, serialize
+from canvdw.polynomial import FormatError, PolynomialFamily
 from canvdw.witness import (
     KIND_FULLY_RAINBOW,
     KIND_MONO,
@@ -312,6 +314,77 @@ def test_certificate_text_is_json_dumps_with_indent_2():
         for value in values:
             cert = dataclasses.replace(base, **{name: value})
             assert cert.to_json() == _json_dumps_certificate(cert), (name, value)
+
+
+def test_malformed_certificate_messages_are_fixed():
+    # Certificates of the wrong shape read in parse_family's wording, not in
+    # the words of the Python error that the lookup would raise.
+    base = json.loads(find_witness(TypedColouring.single((1, 1, 1)), fam([1])).to_json())
+    without_h = dict(base)
+    del without_h["h"]
+    for obj, message in (
+        ([1, 2], "expected a JSON object"),
+        (3, "expected a JSON object"),
+        (None, "expected a JSON object"),
+        ({**base, "family": "x"}, "'family' must be a JSON object"),
+        ({**base, "family": [[1]]}, "'family' must be a JSON object"),
+        ({k: v for k, v in base.items() if k != "family"}, "missing 'family' field"),
+        ({**base, "family": {"role": "mono"}}, "missing 'polys' field"),
+        ({**base, "family": {"polys": [[1]]}}, "missing 'role' field"),
+        (without_h, "missing 'h' field"),
+    ):
+        with pytest.raises(FormatError) as e:
+            Certificate.from_json(json.dumps(obj))
+        assert str(e.value) == f"malformed certificate: {message}", obj
+
+
+def test_certificate_text_with_the_family_text_cache_cold_warm_and_evicted(monkeypatch):
+    # The family text to_json caches gives the bytes of json.dumps(...,
+    # indent=2): rendered afresh, found in the cache, and rendered again
+    # after the cache was emptied.  Each family is read once, into an
+    # empty family table, and shared by every certificate read back.
+    monkeypatch.setattr(canvdw.polynomial, "_families", {})
+    monkeypatch.setattr(canvdw.polynomial, "_families_held", 0)
+    texts: dict = {}
+    monkeypatch.setattr(canvdw.witness, "_polys_text", texts)
+    monkeypatch.setattr(canvdw.witness, "_polys_text_held", 0)
+    big = 10**40
+    read = PolynomialFamily.from_coeff_lists
+    monos = (read([[1], [2]]), read([[-1], [0, 1]]), read([[-2, 0, 1]]), read([[1], [big, -big]]))
+    rainbows = (read([[1], [2], [-1, 1]], "rainbow"), read([[-1], [0, 0, 1]], "rainbow"))
+    rng = random.Random(31)
+    certs = []
+    for trial in range(400):
+        c = random_colouring(rng, rng.randint(3, 12), rng.choice((1, 2)), rng.choice((None, 2)), rng.choice((3, 6)))
+        mono = rng.choice(monos) if trial % 2 else None
+        cert = find_witness(c, mono, rng.choice(rainbows), 0, POLICY_ANY)
+        if cert is not None:
+            certs.append(dataclasses.replace(cert, kind="é✓") if trial % 7 == 0 else cert)
+    families = {cert.family for cert in certs}
+    assert len(families) == len(monos) + len(rainbows)
+
+    def check():
+        for cert in certs:
+            text = cert.to_json()
+            assert text == _json_dumps_certificate(cert), cert
+            back = Certificate.from_json(text)
+            assert back.family is cert.family
+            if cert.kind != "é✓":
+                assert back == cert
+
+    for cert in certs:  # cold
+        texts.clear()
+        assert cert.to_json() == _json_dumps_certificate(cert)
+    check()  # warm: one entry per family, read by every later certificate
+    assert set(texts) == families
+    bound = max(map(len, texts.values())) + 10
+    monkeypatch.setattr(canvdw.witness, "_POLYS_TEXT_CHARS", bound)
+    texts.clear()
+    monkeypatch.setattr(canvdw.witness, "_polys_text_held", 0)
+    rng.shuffle(certs)
+    check()  # evicted: each new family empties the cache
+    assert len(texts) == 1
+    assert canvdw.witness._polys_text_held == sum(map(len, texts.values())) <= bound
 
 
 def test_verify_certificate_rejections():
