@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb
 from typing import Sequence
 
@@ -88,6 +89,10 @@ class PolynomialFamily:
     # computed once, from what __eq__ compares.  It hashes no string, so a
     # copied or unpickled family's stored hash holds in any process.
     _hash: int = field(default=0, init=False, repr=False, compare=False)
+    # The "polys" text of a certificate, set by witness.Certificate.to_json
+    # at its first write of the family.  Members hold exact ints, so equal
+    # families have equal text, and the text lives as long as the family.
+    _polys_text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "polys", tuple(self.polys))
@@ -133,18 +138,22 @@ class PolynomialFamily:
             raise FormatError(str(e)) from None
         if exact:
             size = len(members) + sum(map(len, members))
-            if _families_held + size > _FAMILY_TABLE_COEFFS:
-                _families.clear()
-                _families_held = 0
-            _families[key] = family
-            _families_held += size
+            size += sum(map(int.bit_length, chain.from_iterable(members))) >> 6
+            if size <= _FAMILY_TABLE_WORDS:
+                if _families_held + size > _FAMILY_TABLE_WORDS:
+                    _families.clear()
+                    _families_held = 0
+                _families[key] = family
+                _families_held += size
         return family
 
 
-# Families read by from_coeff_lists, keyed by (class, role, members) and
-# bounded by the coefficients they hold, one more per member so that zero
-# members count: past the bound the table is emptied before the next entry.
-_FAMILY_TABLE_COEFFS = 1 << 16
+# Families read by from_coeff_lists, keyed by (class, role, members).  The
+# bound follows the memory the entries hold: a family counts one word per
+# member and per coefficient, and one per 64 bits of its coefficients.  A
+# read larger than the bound is not kept; past the bound the table is
+# emptied before the entry.
+_FAMILY_TABLE_WORDS = 1 << 12
 _families: dict[tuple, PolynomialFamily] = {}
 _families_held = 0
 

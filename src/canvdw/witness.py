@@ -72,7 +72,7 @@ class Certificate:
             _json(self.d, "  "),
             _json_array([_json(e, "    ") for e in self.elements], "  "),
             _json(self.evidence, "  "),
-            _polys_text.get(family) or _polys_json(family),
+            family._polys_text or _polys_json(family),
             _json(family.role, "    "),
             _json(self.digest, "  "),
             _json(self.d_policy, "  "),
@@ -144,24 +144,11 @@ def _json_array(items: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
-# The "polys" text of each family to_json has written, bounded by the
-# characters it holds: past the bound the table is emptied before the next
-# entry.  Members hold exact ints, so equal families have equal text.
-_POLYS_TEXT_CHARS = 1 << 20
-_polys_text: dict[PolynomialFamily, str] = {}
-_polys_text_held = 0
-
-
 def _polys_json(family: PolynomialFamily) -> str:
-    global _polys_text_held
     text = _json_array(
         [_json_array([_json(c, "        ") for c in p.coeffs], "      ") for p in family.polys], "    "
     )
-    if _polys_text_held + len(text) > _POLYS_TEXT_CHARS:
-        _polys_text.clear()
-        _polys_text_held = 0
-    _polys_text[family] = text
-    _polys_text_held += len(text)
+    object.__setattr__(family, "_polys_text", text)
     return text
 
 

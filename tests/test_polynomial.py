@@ -388,21 +388,28 @@ def test_family_table_cannot_alias(monkeypatch):
     assert _read([[1, 0]]) == _read([[1]]) == _read([[1]])
 
 
+def _words(members):
+    # What a family table entry counts against the bound.
+    members = [list(cs) for cs in members]
+    return len(members) + sum(map(len, members)) + (sum(abs(c).bit_length() for cs in members for c in cs) >> 6)
+
+
 def test_family_table_evicts_within_its_bound(monkeypatch):
-    # Shrink the table to 40 held coefficients, one more per member, and
-    # read random families of up to 12 in a small pool, so that reads both
-    # hit and evict.  The table stays within the bound and every answer
-    # equals the family built without the reader.
+    # Shrink the table to 40 words and read random families in a small
+    # pool, some with 10**40 coefficients and two too large to be kept, so
+    # that reads hit, evict and skip.  The table stays within the bound and
+    # every answer equals the family built without the reader.
     table: dict = {}
     monkeypatch.setattr(canvdw.polynomial, "_families", table)
     monkeypatch.setattr(canvdw.polynomial, "_families_held", 0)
-    monkeypatch.setattr(canvdw.polynomial, "_FAMILY_TABLE_COEFFS", 40)
+    monkeypatch.setattr(canvdw.polynomial, "_FAMILY_TABLE_WORDS", 40)
     rng = random.Random(31)
     pool = [
-        [[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(0, 3))]
+        [[rng.choice((-3, 1, 10**40)) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(0, 3))]
         for _ in range(40)
-    ]
-    hits = evictions = 0
+    ] + [[[2**300] * 9], [[1] * 20, [1] * 19]]
+    assert [_words(lists) > 40 for lists in pool[-2:]] == [True, True]
+    hits = evictions = skips = 0
     for _ in range(600):
         lists = rng.choice(pool)
         before = dict(table)
@@ -411,6 +418,7 @@ def test_family_table_evicts_within_its_bound(monkeypatch):
         key = (PolynomialFamily, "mono", tuple(map(tuple, lists)))
         hits += key in before and got is before[key]
         evictions += any(k not in table for k in before)
+        skips += key not in table
         held = canvdw.polynomial._families_held
-        assert held == sum(len(k[2]) + sum(map(len, k[2])) for k in table) <= 40
-    assert hits > 100 and evictions > 20
+        assert held == sum(_words(k[2]) for k in table) <= 40
+    assert hits > 100 and evictions > 20 and skips > 10

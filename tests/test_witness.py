@@ -338,20 +338,20 @@ def test_malformed_certificate_messages_are_fixed():
         assert str(e.value) == f"malformed certificate: {message}", obj
 
 
-def test_certificate_text_with_the_family_text_cache_cold_warm_and_evicted(monkeypatch):
-    # The family text to_json caches gives the bytes of json.dumps(...,
-    # indent=2): rendered afresh, found in the cache, and rendered again
-    # after the cache was emptied.  Each family is read once, into an
-    # empty family table, and shared by every certificate read back.
-    monkeypatch.setattr(canvdw.polynomial, "_families", {})
+def test_certificate_text_with_the_family_text_cold_warm_and_evicted(monkeypatch):
+    # The polys text to_json keeps on each family gives the bytes of
+    # json.dumps(..., indent=2): rendered afresh, kept on the family, and
+    # rendered afresh for the new families read after the family table
+    # dropped theirs.  Each family is read once, into an empty family
+    # table, and shared by every certificate read back while it is held.
+    table: dict = {}
+    monkeypatch.setattr(canvdw.polynomial, "_families", table)
     monkeypatch.setattr(canvdw.polynomial, "_families_held", 0)
-    texts: dict = {}
-    monkeypatch.setattr(canvdw.witness, "_polys_text", texts)
-    monkeypatch.setattr(canvdw.witness, "_polys_text_held", 0)
     big = 10**40
     read = PolynomialFamily.from_coeff_lists
     monos = (read([[1], [2]]), read([[-1], [0, 1]]), read([[-2, 0, 1]]), read([[1], [big, -big]]))
     rainbows = (read([[1], [2], [-1, 1]], "rainbow"), read([[-1], [0, 0, 1]], "rainbow"))
+    families = set(monos + rainbows)
     rng = random.Random(31)
     certs = []
     for trial in range(400):
@@ -360,31 +360,35 @@ def test_certificate_text_with_the_family_text_cache_cold_warm_and_evicted(monke
         cert = find_witness(c, mono, rng.choice(rainbows), 0, POLICY_ANY)
         if cert is not None:
             certs.append(dataclasses.replace(cert, kind="é✓") if trial % 7 == 0 else cert)
-    families = {cert.family for cert in certs}
-    assert len(families) == len(monos) + len(rainbows)
+    assert {cert.family for cert in certs} == families
 
-    def check():
-        for cert in certs:
-            text = cert.to_json()
-            assert text == _json_dumps_certificate(cert), cert
-            back = Certificate.from_json(text)
-            assert back.family is cert.family
-            if cert.kind != "é✓":
-                assert back == cert
+    def round_trip(cert):
+        text = cert.to_json()
+        assert text == _json_dumps_certificate(cert), cert
+        back = Certificate.from_json(text)
+        assert back.to_json() == text
+        if cert.kind != "é✓":
+            assert back == cert
+        return back
 
     for cert in certs:  # cold
-        texts.clear()
-        assert cert.to_json() == _json_dumps_certificate(cert)
-    check()  # warm: one entry per family, read by every later certificate
-    assert set(texts) == families
-    bound = max(map(len, texts.values())) + 10
-    monkeypatch.setattr(canvdw.witness, "_POLYS_TEXT_CHARS", bound)
-    texts.clear()
-    monkeypatch.setattr(canvdw.witness, "_polys_text_held", 0)
+        object.__setattr__(cert.family, "_polys_text", None)
+        assert round_trip(cert).family is cert.family
+    for cert in certs:  # warm
+        assert cert.family._polys_text is not None
+        assert round_trip(cert).family is cert.family
+    # Evicted: with room for about one family, most reads of a new one
+    # empty the table, and the family read back is a new one with no text.
+    monkeypatch.setattr(canvdw.polynomial, "_FAMILY_TABLE_WORDS", 9)
+    table.clear()
+    monkeypatch.setattr(canvdw.polynomial, "_families_held", 0)
     rng.shuffle(certs)
-    check()  # evicted: each new family empties the cache
-    assert len(texts) == 1
-    assert canvdw.witness._polys_text_held == sum(map(len, texts.values())) <= bound
+    fresh = 0
+    for cert in certs:
+        back = round_trip(cert)
+        fresh += back.family is not cert.family
+        assert canvdw.polynomial._families_held <= 9
+    assert fresh > 20
 
 
 def test_verify_certificate_rejections():
