@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from operator import itemgetter
 
-from .coloring import TypedColouring, restricted_growth_strings
+from .coloring import TypedColouring
 from .polynomial import PolynomialFamily
 from .witness import (
     D_POLICIES,
@@ -576,17 +576,36 @@ def extremal_colourings(cfg: SearchConfig, length: int, limit: int | None = None
     return [TypedColouring.single(labels) for labels in kept]
 
 
+def _grow_completions(ways: list[list[int]], r: int, ceiling: int) -> None:
+    """Grow the completion table to row r.
+
+    ways[r][u] counts the ways r more labels can follow a prefix that uses
+    u classes, where row 0's width caps the classes; a count of ceiling or
+    more reads ceiling.  Once a row repeats, every later row is that same
+    list, so a long length adds no new rows.
+    """
+    while len(ways) <= r:
+        last = ways[-1]
+        # The next label joins one of the u classes, or opens a new one
+        # unless u is already row 0's last index.
+        row = [min(u * w + fresh, ceiling) for u, (w, fresh) in enumerate(zip(last, [*last[1:], 0]))]
+        if row == last:
+            ways.extend([last] * (r + 1 - len(ways)))
+        else:
+            ways.append(row)
+
+
 def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
     """Independent oracle for canonical_number by brute force.
 
     Enumerates every canonical colouring of every length, as its
-    restricted-growth string, one prefix of length - 1 at a time.  Each
-    string is first tested against the last witness the scanner found at
-    that length; when that witness avoids the last position, one test per
-    prefix stands for all of the prefix's strings.  Only a miss runs the
-    full witness scanner, and a string is witness-free only when that scan
-    finds nothing.  Every string is counted; no pruning, no sharing of work
-    between lengths.
+    restricted-growth string, in lexicographic order.  Each string is first
+    tested against the last witness the scanner found at that length; a
+    string it misses runs the full witness scanner, and is witness-free only
+    when that scan finds nothing.  Every string is counted, but the strings
+    that share a prefix holding the last witness, none of them before the
+    current one, are counted by a table of completion counts rather than
+    built.  No pruning, no sharing of work between lengths.
     Refuses to enumerate more than node_budget colourings (or a built-in cap
     when no budget is set).
     """
@@ -599,36 +618,54 @@ def naive_canonical_number(cfg: SearchConfig) -> SearchResult:
         free = 0
         scan = witness_scanner(cfg.mono_family, cfg.rainbow_family, length, cfg.h, cfg.d_policy)
         self_check = cfg.self_check
-        top = length if cfg.max_classes is None else cfg.max_classes
+        top = length if cfg.max_classes is None else min(cfg.max_classes, length)
+        ways = [[1] * (top + 1)]
+        # The current string; used[i] is the number of classes among
+        # labels[:i], and labels[z:] are all 0.
+        labels = [0] * length
+        used = [0] + [1] * length
+        z = 0
         # The last witness scan found at this length, as the scanner's own
-        # column picker and count of distinct labels; neighbouring strings
-        # share all but their last labels, so it mostly hits the next one.
-        # While it avoids the last position (and no self check wants each
-        # string), one test on the prefix settles every string built on it.
-        pick, want, on_prefix = None, 0, False
-        for prefix in restricted_growth_strings(length - 1, cfg.max_classes):
-            # The prefix's strings end in each of its k possible last labels.
-            k = min(max(prefix, default=-1) + 2, top)
-            examined += k
+        # column picker, count of distinct labels, and the number of leading
+        # labels it needs (all of them under a self check, which wants every
+        # string).  Neighbouring strings share all but their last labels, so
+        # it mostly holds on the next one too.
+        pick, want, reach = None, 0, length
+        while True:
+            held = pick is not None and len(set(pick(labels))) == want
+            if not held:
+                hit = scan(tuple(labels))
+                if hit is None:
+                    free += 1
+                else:
+                    held = True
+                    pick = itemgetter(*(e - 1 for e in hit.elements))
+                    want = 1 if hit.kind == KIND_MONO else len(hit.elements)
+                    reach = length if self_check else max(hit.elements)
+            # The strings sharing labels[:depth] all hold the witness, and
+            # none comes before this one; a witness-free string stands alone.
+            depth = max(reach, z) if held else length
+            r = length - depth
+            if r >= len(ways):
+                _grow_completions(ways, r, cap + 1)
+            examined += ways[r][used[depth]]
             if examined > cap:
                 raise EnumerationCapExceeded(
                     f"naive engine exceeded its enumeration cap of {cap}"
                 )
-            if on_prefix and len(set(pick(prefix))) == want:
-                continue
-            for v in range(k):
-                labels = prefix + (v,)
-                if pick is None or len(set(pick(labels))) != want:
-                    hit = scan(labels)
-                    if hit is None:
-                        free += 1
-                        continue
-                    pick = itemgetter(*(e - 1 for e in hit.elements))
-                    want = 1 if hit.kind == KIND_MONO else len(hit.elements)
-                    on_prefix = not self_check and max(hit.elements) < length
-                if self_check:
-                    _self_check(cfg, TypedColouring.single(labels))
-        return free
+            if self_check and held:
+                _self_check(cfg, TypedColouring.single(labels))
+            # Step past that subtree: bump the rightmost label before depth
+            # that can still grow, as restricted_growth_strings does.
+            i = depth - 1
+            while i >= 0 and (labels[i] >= used[i] or labels[i] + 1 >= top):
+                i -= 1
+            if i < 0:
+                return free
+            labels[i] += 1
+            labels[i + 1 : z] = [0] * (z - i - 1)
+            z = i + 1
+            used[z:] = [max(used[i], labels[i] + 1)] * (length - i)
 
     prev = 1 if cfg.n_start == 1 else witness_free_count(cfg.n_start - 1)
     per_length: list[int] = []

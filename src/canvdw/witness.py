@@ -62,6 +62,8 @@ class Certificate:
         # these keys in this order.  With indent set, json.dumps runs its
         # pure-Python encoder, which cost most of a certificate round trip.
         family = self.family
+        if not isinstance(family, PolynomialFamily):
+            raise TypeError("Certificate.family must be a PolynomialFamily")
         return (
             '{\n  "kind": %s,\n  "a": %s,\n  "d": %s,\n  "elements": %s,\n  "evidence": %s,\n'
             '  "family": {\n    "polys": %s,\n    "role": %s\n  },\n'

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -21,7 +22,7 @@ from canvdw.search import (
 )
 from canvdw.witness import D_POLICIES, VerifyResult, find_witness
 
-from _helpers import fam, random_rainbow_family, reference_first_witness, reference_walk
+from _helpers import bell_sequence, fam, random_rainbow_family, reference_first_witness, reference_walk
 
 LINEAR = SearchConfig(mono_family=fam([1]), rainbow_family=fam([1], role="rainbow"))
 W32 = SearchConfig(mono_family=fam([1], [2]), max_classes=2)
@@ -352,6 +353,63 @@ def test_naive_engine_matches_a_plain_count_on_random_families():
             with pytest.raises(EnumerationCapExceeded):
                 naive_canonical_number(replace(cfg, node_budget=budget - 1))
     assert None in numbers and len(numbers) > 3
+
+
+def _rgs_counts(upto, cap):
+    # Restricted-growth strings of each length 0..upto with at most cap
+    # classes: sums of Stirling numbers of the second kind, Bell numbers
+    # without a cap.  stirling[k] holds S(n, k) for the current n.
+    counts = [1]
+    stirling = [1]
+    for n in range(1, upto + 1):
+        stirling = [0] + [k * (stirling[k] if k < n else 0) + stirling[k - 1] for k in range(1, n + 1)]
+        counts.append(sum(stirling[: (cap or n) + 1]))
+    return counts
+
+
+def test_naive_engine_counts_a_whole_length_by_its_completion_table():
+    # The zero polynomial's first witness is {1, 1}, which every string
+    # holds, so each length is one scan and one lookup in the completion
+    # table: the run examines every string at L - 1 and at L and answers L.
+    for cap in (None, 1, 2, 3):
+        counts = _rgs_counts(12, cap)
+        for length in range(1, 13):
+            cfg = SearchConfig(mono_family=fam([]), max_classes=cap, n_start=length, n_limit=length)
+            below = counts[length - 1] if length > 1 else 0
+            if below + counts[length] > 2_000_000:
+                assert (cap, length) == (None, 12)
+                with pytest.raises(EnumerationCapExceeded, match="cap of 2000000$"):
+                    naive_canonical_number(cfg)
+                continue
+            res = naive_canonical_number(cfg)
+            assert (res.canonical_number, res.witness_free_per_length) == (length, (0,))
+            assert res.nodes_expanded == below + counts[length], (cap, length)
+    assert _rgs_counts(12, None) == bell_sequence(12)
+    five = SearchConfig(mono_family=fam([]), n_start=5, n_limit=5)
+    assert naive_canonical_number(five).nodes_expanded == 67
+
+
+def test_naive_engine_at_a_long_length_reaches_its_cap_at_once():
+    # Every string of {x^3} at length L - 1 shares its first two labels
+    # with one that holds {1, 2}, so the first table lookup passes the cap.
+    # The table's counts stop at the cap and its rows stop once they
+    # repeat, so it holds no triangle of counts, big or clipped.  Each
+    # second run finds its two scan plans cached and traces only the walk
+    # and its table.
+    for length in (300, 1000):
+        cfg = SearchConfig(mono_family=fam([0, 0, 1]), n_start=length, n_limit=length)
+        t0 = time.perf_counter()
+        with pytest.raises(EnumerationCapExceeded, match="cap of 2000000$"):
+            naive_canonical_number(cfg)
+        assert time.perf_counter() - t0 < 1.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapExceeded, match="cap of 2000000$"):
+                naive_canonical_number(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, length
 
 
 def test_unfound_number_is_reported_as_exhausted():

@@ -316,6 +316,19 @@ def test_certificate_text_is_json_dumps_with_indent_2():
             assert cert.to_json() == _json_dumps_certificate(cert), (name, value)
 
 
+def test_certificate_text_refuses_a_family_that_is_not_a_family():
+    # A code-built certificate can carry any family value; to_json names
+    # the field in a fixed message, and the verifier rejects it as usual.
+    colouring = TypedColouring.single((1, 1, 1))
+    base = find_witness(colouring, fam([1]))
+    for family in ({"polys": []}, None, (fam([1]),), "mono"):
+        cert = dataclasses.replace(base, family=family)
+        with pytest.raises(TypeError) as e:
+            cert.to_json()
+        assert str(e.value) == "Certificate.family must be a PolynomialFamily", family
+        assert not verify_certificate(colouring, cert).ok
+
+
 def test_malformed_certificate_messages_are_fixed():
     # Certificates of the wrong shape read in parse_family's wording, not in
     # the words of the Python error that the lookup would raise.
