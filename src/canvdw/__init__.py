@@ -4,14 +4,10 @@ typed interval colourings built from integral polynomial families."""
 from .coloring import (
     CanonicalForm,
     TypedColouring,
-    bell_number,
     block_coloring,
-    block_fingerprint,
     canonicalize,
     colouring_digest,
     enumerate_colourings,
-    fingerprint_count_bound,
-    interval_equivalent,
     load_colouring,
     parse_colouring,
     restricted_growth,
@@ -51,7 +47,6 @@ from .witness import (
     WitnessSet,
     admitted_steps,
     collection_norm,
-    d_max,
     find_focused_collection,
     find_witness,
     first_witness,

@@ -160,32 +160,11 @@ def enumerate_colourings(length: int, max_classes: int | None = None) -> Iterato
     return map(TypedColouring.single, restricted_growth_strings(length, max_classes))
 
 
-def block_fingerprint(colouring: TypedColouring, block: int, block_len: int) -> CanonicalForm:
-    """Fingerprint of the block of block_len consecutive elements starting at
-    position (block-1)*block_len + 1: the block's canonical form.  Blocks
-    are 1-based."""
-    if block_len < 1:
-        raise ValueError(f"block length must be positive, got {block_len}")
-    if block < 1 or block * block_len > colouring.length:
-        raise ValueError(f"block {block} of length {block_len} outside the interval")
-    start = (block - 1) * block_len
-    rows = colouring.rows[start : start + block_len]
-    return canonicalize(TypedColouring(colouring.m, colouring.n, rows))
-
-
-def interval_equivalent(colouring: TypedColouring, s: int, t: int, block_len: int) -> bool:
-    """Whether blocks s and t look identical up to per-coordinate palette
-    renaming, with final-coordinate labels matched verbatim."""
-    return block_fingerprint(colouring, s, block_len) == block_fingerprint(colouring, t, block_len)
-
-
-def block_coloring(colouring: TypedColouring, block_len: int, with_fingerprint: bool = False) -> TypedColouring:
+def block_coloring(colouring: TypedColouring, block_len: int) -> TypedColouring:
     """Regroup a colouring into blocks of block_len consecutive elements.
 
     Block s becomes one element carrying the m*block_len concatenated
-    unbounded labels (position-major).  With with_fingerprint, one bounded
-    coordinate is appended holding the block's fingerprint, interned to
-    dense labels 1, 2, ... in order of first appearance.
+    unbounded labels (position-major).
     """
     if block_len < 1:
         raise ValueError(f"block length must be positive, got {block_len}")
@@ -194,40 +173,14 @@ def block_coloring(colouring: TypedColouring, block_len: int, with_fingerprint: 
             f"block length {block_len} does not divide interval length {colouring.length}"
         )
     nblocks = colouring.length // block_len
-    interned: dict[CanonicalForm, int] = {}
     out_rows = []
     for s in range(1, nblocks + 1):
         start = (s - 1) * block_len
         concat: list[int] = []
         for r in colouring.rows[start : start + block_len]:
             concat.extend(r[: colouring.m])
-        if with_fingerprint:
-            fp = block_fingerprint(colouring, s, block_len)
-            concat.append(interned.setdefault(fp, len(interned) + 1))
         out_rows.append(tuple(concat))
-    out_n = len(interned) if with_fingerprint else None
-    return TypedColouring(colouring.m * block_len, out_n, tuple(out_rows))
-
-
-def bell_number(k: int) -> int:
-    """Bell numbers by the triangle recurrence."""
-    if k < 0:
-        raise ValueError(f"Bell numbers need k >= 0, got {k}")
-    row = [1]
-    for _ in range(k):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
-
-
-def fingerprint_count_bound(m: int, n: int, block_len: int) -> int:
-    """Upper bound n**block_len * Bell(block_len)**m on distinct block
-    fingerprints of (m, n)-typed colourings."""
-    if m < 0 or n < 1 or block_len < 0:
-        raise ValueError(f"invalid arguments m={m} n={n} block_len={block_len}")
-    return n**block_len * bell_number(block_len) ** m
+    return TypedColouring(colouring.m * block_len, None, tuple(out_rows))
 
 
 def serialize(colouring: TypedColouring) -> str:

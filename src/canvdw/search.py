@@ -368,7 +368,10 @@ def _look_ahead_walk(
     self_check, every label the walk rules out without placing it, and
     every label of a position it empties, is confirmed by _check_cut.
     """
-    full = -1 if cfg.max_classes is None else cfg.max_classes
+    # A cap at or above depth_cap never binds, and a mask that wide would
+    # make every avail operation a big-int one: treat it as no cap.
+    cap = cfg.max_classes
+    full = -1 if cap is None or cap >= depth_cap else cap
     # Allocated first, so that a length too large to hold fails at once.
     avail = [-1 if full < 0 else (1 << full) - 1] * depth_cap
     mono_t, rain_t, members = _probes(cfg, depth_cap)

@@ -178,11 +178,20 @@ class NormInfo(NamedTuple):
     norm: int
 
 
+def _check_elements(colouring: TypedColouring, elems: tuple[int, ...], check: str) -> None:
+    # The predicates index rows[e - 1], which would read element 0 as the
+    # last row: hold every element to 1..length first.
+    if not elems:
+        raise ValueError(f"{check} check needs at least one element")
+    if min(elems) < 1 or max(elems) > len(colouring.rows):
+        raise ValueError(f"{check} check got an element outside 1..{len(colouring.rows)}")
+
+
 def is_monochromatic(colouring: TypedColouring, elems: tuple[int, ...]) -> int | None:
     """Smallest unbounded coordinate on which all elements share a label, or
-    None.  Repeated elements are allowed; empty input is an error."""
-    if not elems:
-        raise ValueError("monochromatic check needs at least one element")
+    None.  Repeated elements are allowed; empty input or an element outside
+    1..length is an error."""
+    _check_elements(colouring, elems, "monochromatic")
     rows = colouring.rows
     for j in range(colouring.m):
         if len({rows[e - 1][j] for e in elems}) == 1:
@@ -193,9 +202,9 @@ def is_monochromatic(colouring: TypedColouring, elems: tuple[int, ...]) -> int |
 def is_rainbow(colouring: TypedColouring, elems: tuple[int, ...]) -> bool:
     """True iff the elements are pairwise distinct positions and no label
     value appears in two distinct elements, across all coordinate pairs.
-    A repeated label inside one element is not a clash."""
-    if not elems:
-        raise ValueError("rainbow check needs at least one element")
+    A repeated label inside one element is not a clash.  Empty input or an
+    element outside 1..length is an error."""
+    _check_elements(colouring, elems, "rainbow")
     if len(set(elems)) != len(elems):
         return False
     m = colouring.m
@@ -256,11 +265,14 @@ def collection_norm(colouring: TypedColouring, coll: FocusedCollection) -> NormI
 
 def validate_collection(colouring: TypedColouring, coll: FocusedCollection) -> bool:
     """Check the three structural conditions: every member focused at the
-    collection's anchor with its own step, every member fully-rainbow, and
-    the union of all members rainbow with all elements distinct."""
+    collection's anchor with its own step and inside the interval, every
+    member fully-rainbow, and the union of all members rainbow with all
+    elements distinct."""
     union: list[int] = []
     for d, elems in coll.members:
         if not is_focused(elems, coll.focus, coll.family, d):
+            return False
+        if not all(1 <= e <= colouring.length for e in elems):
             return False
         if is_fully_rainbow(colouring, elems) is None:
             return False
@@ -274,8 +286,8 @@ def step_admitted(kind: str, d: int, h: int, d_policy: str) -> bool:
     "positive" admits d > 0, "nonzero" admits d != 0 and "any" admits every
     d.  "greater_than_h_for_rainbow" holds rainbow and fully-rainbow
     witnesses to d > h and mono witnesses to d != 0.  This is the one step
-    rule: the scanner, both search engines, the focused-collection search,
-    d_max and the certificate verifier all apply it.
+    rule: the scanner, both search engines, the focused-collection search
+    and the certificate verifier all apply it.
     """
     if d_policy not in D_POLICIES:
         raise ValueError(f"unknown d policy {d_policy!r}")
@@ -403,24 +415,6 @@ def _scan_plan(
             probes.clear()
         _plans[key] = plan
     return plan
-
-
-def d_max(family: PolynomialFamily, interval_len: int, h: int) -> int | None:
-    """Largest step d > h whose value pattern fits inside [interval_len].
-
-    A step d fits when some anchor a has a and a + p(d) inside
-    {1, ..., interval_len} for every member p.  Returns None when no step
-    fits.  Needs at least one nonzero member, otherwise every step fits and
-    no largest one exists.
-    """
-    if interval_len < 1:
-        raise ValueError(f"interval length must be positive, got {interval_len}")
-    if h < 0:
-        raise ValueError(f"h must be non-negative, got {h}")
-    if not family.nonzero_members():
-        raise ValueError("d_max undefined for a family with no nonzero members")
-    steps = admitted_steps(family, None, interval_len, 0, POLICY_POSITIVE)
-    return max((d for d, _ in steps if d > h), default=None)
 
 
 def witness_scanner(

@@ -9,14 +9,10 @@ import canvdw.coloring
 from canvdw.coloring import (
     FormatError,
     TypedColouring,
-    bell_number,
     block_coloring,
-    block_fingerprint,
     canonicalize,
     colouring_digest,
     enumerate_colourings,
-    fingerprint_count_bound,
-    interval_equivalent,
     parse_colouring,
     restricted_growth,
     restricted_growth_strings,
@@ -156,52 +152,7 @@ def test_enumerated_colourings_match_validated_ones():
 
 def test_bell_number():
     expected = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
-    assert [bell_number(i) for i in range(11)] == expected
     assert bell_sequence(10) == expected
-    with pytest.raises(ValueError):
-        bell_number(-1)
-
-
-def test_block_fingerprint_example():
-    c = TypedColouring.single((1, 2, 2, 1))
-    assert block_fingerprint(c, 1, 2) == block_fingerprint(c, 2, 2)
-    assert block_fingerprint(c, 1, 2).strings == ((0, 1),)
-    assert block_fingerprint(c, 1, 2).final is None
-    with pytest.raises(ValueError):
-        block_fingerprint(c, 3, 2)
-    with pytest.raises(ValueError):
-        block_fingerprint(c, 0, 2)
-    with pytest.raises(ValueError):
-        block_fingerprint(c, 1, 0)
-
-
-def test_block_fingerprint_heeds_final_coordinate():
-    a = TypedColouring(m=1, n=2, rows=((1, 1), (2, 1)))
-    b = TypedColouring(m=1, n=2, rows=((3, 1), (5, 2)))
-    assert block_fingerprint(a, 1, 2).strings == block_fingerprint(b, 1, 2).strings
-    assert block_fingerprint(a, 1, 2) != block_fingerprint(b, 1, 2)
-
-
-def test_interval_equivalent():
-    c = TypedColouring.single((1, 2, 2, 1, 9, 9))
-    assert interval_equivalent(c, 1, 2, 2)
-    assert not interval_equivalent(c, 1, 3, 2)
-    with pytest.raises(ValueError):
-        interval_equivalent(c, 1, 4, 2)
-
-
-def test_interval_equivalent_is_an_equivalence():
-    rng = random.Random(21)
-    for _ in range(40):
-        c = random_colouring(rng, 12, rng.randint(1, 2), rng.choice([None, 2]), classes=3)
-        blocks = range(1, 4)
-        for i in blocks:
-            assert interval_equivalent(c, i, i, 4)
-            for j in blocks:
-                assert interval_equivalent(c, i, j, 4) == interval_equivalent(c, j, i, 4)
-                for k in blocks:
-                    if interval_equivalent(c, i, j, 4) and interval_equivalent(c, j, k, 4):
-                        assert interval_equivalent(c, i, k, 4)
 
 
 def test_block_coloring_example():
@@ -214,41 +165,6 @@ def test_block_coloring_example():
         block_coloring(c, 3)
     with pytest.raises(ValueError):
         block_coloring(c, 0)
-
-
-def test_block_coloring_fingerprint_coordinate():
-    c = TypedColouring.single((1, 2, 2, 1, 1, 1))
-    derived = block_coloring(c, 2, with_fingerprint=True)
-    assert derived.n == 2  # two distinct block shapes seen
-    assert derived.final_coordinate() == (1, 1, 2)
-    # equal final labels exactly when the blocks look alike
-    for i in range(1, 4):
-        for j in range(1, 4):
-            same_label = derived.rows[i - 1][derived.m] == derived.rows[j - 1][derived.m]
-            assert same_label == interval_equivalent(c, i, j, 2)
-
-
-def test_fingerprint_count_bound():
-    assert fingerprint_count_bound(1, 1, 1) == 1
-    assert fingerprint_count_bound(0, 3, 4) == 3**4
-    assert fingerprint_count_bound(1, 2, 2) == 8
-    assert fingerprint_count_bound(2, 2, 3) == 2**3 * bell_number(3) ** 2
-    for args in ((-1, 2, 2), (1, 0, 2), (1, 2, -1)):
-        with pytest.raises(ValueError):
-            fingerprint_count_bound(*args)
-
-
-def test_fingerprint_bound_attained_for_one_plus_one():
-    # every width 2 fingerprint with one unbounded coordinate and a bounded
-    # coordinate over two values shows up: 2 growth strings times 4 finals
-    seen = set()
-    for labels in itertools.product(range(1, 4), repeat=2):
-        for finals in itertools.product((1, 2), repeat=2):
-            rows = ((labels[0], finals[0]), (labels[1], finals[1]))
-            c = TypedColouring(m=1, n=2, rows=rows)
-            seen.add(block_fingerprint(c, 1, 2))
-    assert len(seen) == 8
-    assert len(seen) <= fingerprint_count_bound(1, 2, 2)
 
 
 def test_serialize_and_digest():

@@ -17,7 +17,6 @@ from canvdw.polynomial import (
     weight_less,
     weight_vector,
 )
-from canvdw.witness import d_max
 
 from _helpers import Loud, TWO_X, X, X_SQ, brute_force_shift_threshold, fam, poly, random_rainbow_family
 
@@ -252,37 +251,6 @@ def test_scale_family_preserves_size_and_weight():
         assert scaled.role == family.role
         assert len(set(scaled.polys)) == len(set(family.polys))
         assert weight_vector(scaled) == weight_vector(family)
-
-
-def test_d_max_examples():
-    assert d_max(fam([1], role="rainbow"), 10, 0) == 9
-    assert d_max(fam([0, 1], role="rainbow"), 10, 0) == 3
-    assert d_max(fam([1], role="rainbow"), 10, 9) is None
-    with pytest.raises(ValueError):
-        d_max(fam([1], role="rainbow"), 0, 0)
-    with pytest.raises(ValueError):
-        d_max(fam([0]), 10, 0)
-    with pytest.raises(ValueError):
-        d_max(fam([1], role="rainbow"), 10, -1)
-
-
-def test_d_max_is_maximal_and_feasible():
-    rng = random.Random(31)
-    for _ in range(40):
-        family = random_rainbow_family(rng, max_size=3, max_deg=2, coeff_abs=3)
-        length = rng.randint(2, 30)
-        h = rng.randint(0, 3)
-        best = d_max(family, length, h)
-
-        def fits(d):
-            vals = [p.evaluate(d) for p in family.polys]
-            return max(0, max(vals)) - min(0, min(vals)) <= length - 1
-
-        if best is not None:
-            assert best > h and fits(best)
-            assert all(not fits(d) for d in range(best + 1, best + 2 * length + 20))
-        else:
-            assert all(not fits(d) for d in range(h + 1, h + 2 * length + 20))
 
 
 def test_rainbow_family_invariants():

@@ -796,6 +796,27 @@ def test_look_ahead_keeps_what_the_exact_walk_keeps():
     assert on_limit_th > 10
 
 
+def test_look_ahead_ignores_a_cap_at_or_above_the_length():
+    # A cap of at least the length never binds, so it walks as no cap does:
+    # the same colourings, the same node counts and the same budget abort.
+    # A 10**18-bit label mask could not even be built.
+    for cfg in (W32, replace(W32, max_classes=3), AP3):
+        for length in range(1, 10):
+            for limit in (None, 3):
+                want = _look_ahead_walk(replace(cfg, max_classes=None), length, limit)
+                kept, nodes = want
+                for cap in (length, 10**18):
+                    capped = replace(cfg, max_classes=cap)
+                    assert _look_ahead_walk(capped, length, limit) == want, (cfg, length, cap)
+                    found = extremal_colourings(replace(capped, node_budget=nodes), length, limit)
+                    assert [c.coordinate(1) for c in found] == kept
+                    if nodes > 1:
+                        starved = replace(capped, node_budget=nodes - 1)
+                        assert _look_ahead_walk(starved, length, limit) == (None, nodes)
+                        with pytest.raises(EnumerationCapExceeded):
+                            extremal_colourings(starved, length, limit)
+
+
 def test_look_ahead_on_classical_instances():
     # The look-ahead's lists are pinned by digest, with its node counts; a
     # full list is as long as the exact walk's count at its length, and

@@ -23,7 +23,6 @@ from canvdw.witness import (
     FocusedCollection,
     admitted_steps,
     collection_norm,
-    d_max,
     find_focused_collection,
     find_witness,
     first_witness,
@@ -147,6 +146,24 @@ def test_validate_collection():
     assert validate_collection(shared, FocusedCollection(1, ap, ((1, (2, 3)),)))
     assert validate_collection(shared, FocusedCollection(1, ap, ((2, (3, 5)),)))
     assert not validate_collection(shared, FocusedCollection(1, ap, ((1, (2, 3)), (2, (3, 5)))))
+
+
+def test_predicates_hold_elements_to_the_interval():
+    # rows[e - 1] would read element 0 as the last row and fail one past it.
+    c = TypedColouring.single((0, 1, 0))
+    bounded = TypedColouring(m=1, n=1, rows=((0, 1), (1, 1), (2, 1)))
+    for elems in ((0, 3), (0, 2), (1, 4)):
+        with pytest.raises(ValueError):
+            is_monochromatic(c, elems)
+        with pytest.raises(ValueError):
+            is_rainbow(c, elems)
+        with pytest.raises(ValueError):
+            is_fully_rainbow(bounded, elems)
+    # A focused member at position 0 or past the end is no valid member.
+    x = fam([1], role="rainbow")
+    assert validate_collection(bounded, FocusedCollection(1, x, ((1, (2,)),)))
+    assert not validate_collection(bounded, FocusedCollection(1, x, ((-1, (0,)),)))
+    assert not validate_collection(bounded, FocusedCollection(3, x, ((1, (4,)),)))
 
 
 def test_find_witness_rainbow_example():
@@ -787,14 +804,13 @@ def test_find_focused_collection_budget_and_errors():
 
 
 def test_step_scans_do_not_expand_anchors():
-    # d_max and find_focused_collection read the step scan, not the anchor
-    # expansion: at length 1000 the plan for x holds about 500,000 probes.
+    # find_focused_collection reads the step scan, not the anchor expansion:
+    # at length 1000 the plan for x holds about 500,000 probes.
     B = fam([1], role="rainbow")
     length = 1000
     distinct = TypedColouring(m=1, n=1, rows=tuple((i, 1) for i in range(1, length + 1)))
     tracemalloc.start()
     try:
-        assert d_max(B, length, 0) == length - 1
         found = find_focused_collection(distinct, B, length // 2, target_norm=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
