@@ -360,13 +360,12 @@ def _look_ahead_walk(
     depth it has placed at: a walk that dies early costs memory with the
     depth it reaches, not with the square of depth_cap.
 
-    A node is a label placed at a position; a label avail already rules
-    out there is never tried and is no node.  The leaves below a node at
-    depth depth_cap-1 are the labels avail leaves at the last position,
-    counted at their parent one node each, so the walk stops on a budget
-    or on the limit-th colouring where a visit in label order would.  Under
-    self_check, every label the walk rules out without placing it, and
-    every label of a position it empties, is confirmed by _check_cut.
+    A node is a label placed at a position, leaves included; a label avail
+    already rules out there is never tried and is no node.  A placement
+    that empties a later position, or leaves the next one no label, has no
+    child and is undone where it is made.  Under self_check, _check_cut
+    confirms there every label it rules out: at the emptied position, or
+    at the next one.
     """
     # A cap at or above depth_cap never binds, and a mask that wide would
     # make every avail operation a big-int one: treat it as no cap.
@@ -383,8 +382,6 @@ def _look_ahead_walk(
         if self_check:
             _check_cut(mono_t, rain_t, [], 0, [0])
         return [], 0
-    if top == 0:
-        return [(0,)], 1
     mono_lo, rain_lo = sorted(mono_t), sorted(rain_t)
     wide = -1
     rain_cuts = members > 0 and not 0 < full <= members
@@ -418,6 +415,12 @@ def _look_ahead_walk(
         nodes += 1
         if nodes > budget:
             return None, nodes
+        labels[depth] = v
+        if depth == top:
+            kept.append(tuple(labels))
+            if len(kept) == limit:
+                break
+            continue
         if depth > wide:
             # Keep the probes that look back, from their nearest other
             # element, at most twice the depth; a mono probe's mask has bit
@@ -426,7 +429,6 @@ def _look_ahead_walk(
             mono_fw = [(ks[0], sum(1 << k - ks[0] for k in ks)) for ks in mono_lo if ks[-1] - ks[0] <= wide]
             rain_fw = [(ks[0], ks[-1] - ks[0], ks) for ks in rain_lo if ks[-1] - ks[0] <= wide]
             reach = max((probe[0] for probe in mono_fw + rain_fw), default=0)
-        labels[depth] = v
         bits[depth] = b
         s = top - depth
         mv = masks[v] = masks[v] | 1 << s
@@ -470,36 +472,18 @@ def _look_ahead_walk(
         if v == u:
             u += 1
         lim = u if u == full else u + 1
-        if cut >= 0:
-            if self_check:
-                _check_cut(mono_t, rain_t, labels[: depth + 1], cut, range(lim))
+        free = 0 if cut >= 0 else avail[depth + 1] & ((1 << lim) - 1)
+        if self_check:
+            ruled_out = [w for w in range(lim) if not free >> w & 1]
+            _check_cut(mono_t, rain_t, labels[: depth + 1], cut if cut >= 0 else depth + 1, ruled_out)
+        if not free:
             masks[v] = mv ^ 1 << s
             avail[depth + 1 : depth + 1 + len(sv)] = sv
             continue
-        free = avail[depth + 1] & ((1 << lim) - 1)
-        if self_check:
-            ruled_out = [w for w in range(lim) if not free >> w & 1]
-            _check_cut(mono_t, rain_t, labels[: depth + 1], depth + 1, ruled_out)
-        if depth + 1 < top:
-            saved[depth] = sv
-            depth += 1
-            used[depth] = u
-            cands[depth] = free
-            continue
-        # The children are leaves: keep them here.
-        for w in range(lim):
-            if free >> w & 1:
-                kept.append((*labels[:top], w))
-                if len(kept) == limit:
-                    free &= (2 << w) - 1
-                    break
-        nodes += free.bit_count()
-        if nodes > budget:
-            return None, budget + 1
-        if len(kept) == limit:
-            break
-        masks[v] = mv ^ 1 << s
-        avail[depth + 1 : depth + 1 + len(sv)] = sv
+        saved[depth] = sv
+        depth += 1
+        used[depth] = u
+        cands[depth] = free
     return kept, nodes
 
 
@@ -508,7 +492,7 @@ def _check_cut(
     rain_t: list[tuple[int, ...]],
     prefix: list[int],
     j: int,
-    ruled_out: range | list[int],
+    ruled_out: list[int],
 ) -> None:
     # The look-ahead walk claims that no label in ruled_out fits at
     # position j (0-based) after prefix.  Name, for each label, a probe

@@ -254,7 +254,7 @@ def collection_norm(colouring: TypedColouring, coll: FocusedCollection) -> NormI
         raise ValueError("collection norm needs a bounded final coordinate")
     weights = {c: 0 for c in range(1, colouring.n + 1)}
     for _, elems in coll.members:
-        lab = is_fully_rainbow(colouring, elems)
+        lab = is_fully_rainbow(colouring, elems) if elems else None
         if lab is None:
             raise ValueError(f"member {elems} is not fully-rainbow")
         weights[lab] += 1
@@ -266,13 +266,13 @@ def collection_norm(colouring: TypedColouring, coll: FocusedCollection) -> NormI
 def validate_collection(colouring: TypedColouring, coll: FocusedCollection) -> bool:
     """Check the three structural conditions: every member focused at the
     collection's anchor with its own step and inside the interval, every
-    member fully-rainbow, and the union of all members rainbow with all
-    elements distinct."""
+    member fully-rainbow (an empty member never is), and the union of all
+    members rainbow with all elements distinct."""
     union: list[int] = []
     for d, elems in coll.members:
         if not is_focused(elems, coll.focus, coll.family, d):
             return False
-        if not all(1 <= e <= colouring.length for e in elems):
+        if not elems or not all(1 <= e <= colouring.length for e in elems):
             return False
         if is_fully_rainbow(colouring, elems) is None:
             return False

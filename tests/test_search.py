@@ -820,7 +820,9 @@ def test_look_ahead_ignores_a_cap_at_or_above_the_length():
 def test_look_ahead_on_classical_instances():
     # The look-ahead's lists are pinned by digest, with its node counts; a
     # full list is as long as the exact walk's count at its length, and
-    # the exact walk's node counts are pinned too.
+    # the exact walk's node counts are pinned too.  The small limits stop
+    # among the leaves of one parent, and a budget one short of a limited
+    # walk's nodes aborts it there.
     w33 = SearchConfig(mono_family=fam([1], [2]), max_classes=3, n_limit=26)
     w42 = SearchConfig(mono_family=fam([1], [2], [3]), max_classes=2, n_limit=34)
     ap3 = SearchConfig(mono_family=fam([1], [2]), rainbow_family=fam([1], [2], role="rainbow"))
@@ -834,6 +836,10 @@ def test_look_ahead_on_classical_instances():
         (ap3, 9, None, 0, 55, 205, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
         (ap4, 13, 3, 3, 16, None, "52eb200f179f2aa03ee2045ac20140875840f37c8e111d73ba1fe3e9fea15ce5"),
         (ap4, 13, 1000, 1000, 1553, None, "5c7a98a81dd53a4f27e53abad9af64ef92bed1574377455d590b8f9fb18c0802"),
+        (W32, 8, 2, 2, 26, None, "3dd948e534b74a327888156d03786262d1a1607743b9b33ba437e04288cea4ae"),
+        (ap3, 8, 4, 4, 32, None, "4443320ae21f0f9f19bb771f711721ca0769ef95a197bd3b85061f8a88cc0b5e"),
+        (w33, 26, 5, 5, 11561, None, "b23ca4b486183757fc34ac766a3b0b72d8b6009dac4559c2159196c924df0cb1"),
+        (ap4, 13, 7, 7, 23, None, "22d19930795a7ed95077d88d51cb9bcc0171b5347dab2cdb77387db987c51cd9"),
     ):
         kept, nodes = _look_ahead_walk(cfg, length, limit)
         assert (len(kept), nodes) == (size, ahead_nodes), (cfg, length)
@@ -842,6 +848,13 @@ def test_look_ahead_on_classical_instances():
             exact = canonical_number(replace(cfg, n_limit=length))
             assert exact.witness_free_per_length[length - 1] == size, (cfg, length)
             assert exact.nodes_expanded == exact_nodes, (cfg, length)
+        else:
+            starved = replace(cfg, node_budget=nodes - 1)
+            assert _look_ahead_walk(starved, length, limit) == (None, nodes), (cfg, length, limit)
+    # At length 1 the root is the one leaf.
+    for cfg in (W32, ap3, ap4):
+        for self_check in (False, True):
+            assert _look_ahead_walk(replace(cfg, self_check=self_check), 1, None) == ([(0,)], 1)
     # Under self_check every cut of a rainbow walk is named and confirmed.
     checked = extremal_colourings(replace(ap3, self_check=True), 8)
     assert checked == extremal_colourings(ap3, 8)

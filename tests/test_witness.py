@@ -126,6 +126,19 @@ def test_collection_norm_requires_fully_rainbow_members():
         collection_norm(TypedColouring.single((9, 1, 2)), coll)  # no final coordinate
 
 
+def test_an_empty_member_is_not_fully_rainbow():
+    # A family with no polynomial focuses a member with no element.  It has
+    # no shared final label, so it fails the fully-rainbow condition rather
+    # than reaching is_rainbow, which refuses an empty set.
+    c = TypedColouring(m=1, n=1, rows=((0, 1), (1, 1)))
+    coll = FocusedCollection(1, PolynomialFamily.from_coeff_lists([], "rainbow"), ((1, ()),))
+    assert not validate_collection(c, coll)
+    with pytest.raises(ValueError, match=r"^member \(\) is not fully-rainbow$"):
+        collection_norm(c, coll)
+    assert validate_collection(c, FocusedCollection(1, coll.family, ()))
+    assert collection_norm(c, FocusedCollection(1, coll.family, ())).norm == 0
+
+
 def test_validate_collection():
     c, coll = _norm_example()
     assert validate_collection(c, FocusedCollection(1, coll.family, ()))
