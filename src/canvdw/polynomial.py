@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 from math import comb
 from typing import Sequence
 
@@ -118,44 +117,13 @@ class PolynomialFamily:
     @classmethod
     def from_coeff_lists(cls, lists: Sequence[Sequence[int]], role: str = ROLE_MONO) -> "PolynomialFamily":
         """The family of a document's "polys" and "role", wherever it is
-        read; FormatError unless "polys" is a list of lists of ints.  Equal
-        reads of exact ints and an exact str role return the same family."""
-        global _families_held
+        read; FormatError unless "polys" is a list of lists of ints."""
         if not isinstance(lists, (list, tuple)) or not all(isinstance(cs, (list, tuple)) for cs in lists):
             raise FormatError("'polys' must be a list of coefficient lists")
-        members = tuple(map(tuple, lists))
-        # Checked before the lookup: True and 1.0 hash and compare equal to
-        # 1, and a str subclass to its text, so only exact reads are keyed.
-        exact = type(role) is str and all(type(c) is int for cs in members for c in cs)
-        if exact:
-            key = (cls, role, members)
-            family = _families.get(key)
-            if family is not None:
-                return family
         try:
-            family = cls(tuple(map(IntegralPolynomial, members)), role)
+            return cls(tuple(IntegralPolynomial(tuple(cs)) for cs in lists), role)
         except (TypeError, ValueError) as e:  # a coefficient that is not an int, or members unfit for the role
             raise FormatError(str(e)) from None
-        if exact:
-            size = len(members) + sum(map(len, members))
-            size += sum(map(int.bit_length, chain.from_iterable(members))) >> 6
-            if size <= _FAMILY_TABLE_WORDS:
-                if _families_held + size > _FAMILY_TABLE_WORDS:
-                    _families.clear()
-                    _families_held = 0
-                _families[key] = family
-                _families_held += size
-        return family
-
-
-# Families read by from_coeff_lists, keyed by (class, role, members).  The
-# bound follows the memory the entries hold: a family counts one word per
-# member and per coefficient, and one per 64 bits of its coefficients.  A
-# read larger than the bound is not kept; past the bound the table is
-# emptied before the entry.
-_FAMILY_TABLE_WORDS = 1 << 12
-_families: dict[tuple, PolynomialFamily] = {}
-_families_held = 0
 
 
 def shift_difference(p: IntegralPolynomial, h: int) -> IntegralPolynomial:

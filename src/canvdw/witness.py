@@ -362,7 +362,8 @@ def admitted_steps(
 # than by entries: one plan at a long length holds hundreds of thousands of
 # probes.  Plans of one family pair at different lengths hold mostly the
 # same probes, so each probe is interned in _probes, which is emptied
-# whenever the cache evicts and so never holds more than the bound.
+# whenever the cache evicts or turns a plan away and so never holds more
+# than the bound.
 _PLAN_CACHE_PROBES = 500_000
 _plans: dict[tuple, tuple[tuple, ...]] = {}
 _probes: dict[tuple, tuple] = {}
@@ -386,7 +387,7 @@ def _scan_plan(
     # d, elements, 1) or (rainbow, a, d, elements, None), built once and
     # returned by every scan that finds it; the anchor a is elements[0],
     # since offsets start at 0.  The oldest-inserted plans are evicted to
-    # make room for a new one.
+    # make room for a new one; a plan larger than the bound is not kept.
     key = (mono_family, rainbow_family, length, h, d_policy)
     plan = _plans.get(key)
     if plan is None:
@@ -409,6 +410,9 @@ def _scan_plan(
                             )
                         entries.append(probe)
         plan = tuple(entries)
+        if len(plan) > _PLAN_CACHE_PROBES:
+            probes.clear()
+            return plan
         held = sum(map(len, _plans.values()))
         while _plans and held + len(plan) > _PLAN_CACHE_PROBES:
             held -= len(_plans.pop(next(iter(_plans))))

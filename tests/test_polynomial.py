@@ -3,7 +3,6 @@ import time
 
 import pytest
 
-import canvdw.polynomial
 from canvdw.polynomial import (
     FormatError,
     IntegralPolynomial,
@@ -315,12 +314,9 @@ def _read(lists, role="mono"):
         return e.message
 
 
-def test_family_table_cannot_alias(monkeypatch):
-    # Reads that only compare equal to [[1], [2]] must not get its family
-    # from the table: each gives what it gives on an empty table.
-    table: dict = {}
-    monkeypatch.setattr(canvdw.polynomial, "_families", table)
-    monkeypatch.setattr(canvdw.polynomial, "_families_held", 0)
+def test_family_reader_refuses_lookalikes():
+    # Reads that only compare equal to [[1], [2]] give their own answer:
+    # a FormatError message, or a family of the role they were given.
     lookalikes = (
         ([[True], [2]], "mono"),
         ([[1.0], [2]], "mono"),
@@ -330,63 +326,18 @@ def test_family_table_cannot_alias(monkeypatch):
         ([[1], [2]], Tag("mono")),
         ([[1], [2]], "rainbow"),
     )
-    cold = []
-    for lists, role in lookalikes:
-        table.clear()
-        cold.append(_read(lists, role))
-    assert cold[:5] == [
+    got = [_read(lists, role) for lists, role in lookalikes]
+    assert got[:5] == [
         "coefficients must be ints, got True",
         "coefficients must be ints, got 1.0",
         "coefficients must be ints, got 1",
         "unknown family role ['mono']",
         "unknown family role None",
     ]
-    table.clear()
-    first = _read([[1], [2]])
-    for (lists, role), want in zip(lookalikes, cold):
-        got = _read(lists, role)
-        assert got is not first and type(got) is type(want) and got == want, (lists, role)
-        if isinstance(got, PolynomialFamily):
-            assert type(got.role) is type(role)
-    # Equal exact-int reads share one family, whatever their containers.
-    assert _read([[1], [2]]) is first
-    assert _read(((1,), (2,))) is first
-    assert _read([[1], [2]], "rainbow") is _read([(1,), [2]], "rainbow")
-    # Trailing zeros key apart but read as equal families.
+    assert got[5] == fam([1], [2], role=Tag("mono")) and type(got[5].role) is Tag
+    assert got[6] == fam([1], [2], role="rainbow") and type(got[6].role) is str
+    # Equal exact-int reads give equal families, whatever their containers.
+    assert _read([[1], [2]]) == _read(((1,), (2,)))
+    assert _read([[1], [2]], "rainbow") == _read([(1,), [2]], "rainbow")
+    # Trailing zeros read as equal families.
     assert _read([[1, 0]]) == _read([[1]]) == _read([[1]])
-
-
-def _words(members):
-    # What a family table entry counts against the bound.
-    members = [list(cs) for cs in members]
-    return len(members) + sum(map(len, members)) + (sum(abs(c).bit_length() for cs in members for c in cs) >> 6)
-
-
-def test_family_table_evicts_within_its_bound(monkeypatch):
-    # Shrink the table to 40 words and read random families in a small
-    # pool, some with 10**40 coefficients and two too large to be kept, so
-    # that reads hit, evict and skip.  The table stays within the bound and
-    # every answer equals the family built without the reader.
-    table: dict = {}
-    monkeypatch.setattr(canvdw.polynomial, "_families", table)
-    monkeypatch.setattr(canvdw.polynomial, "_families_held", 0)
-    monkeypatch.setattr(canvdw.polynomial, "_FAMILY_TABLE_WORDS", 40)
-    rng = random.Random(31)
-    pool = [
-        [[rng.choice((-3, 1, 10**40)) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(0, 3))]
-        for _ in range(40)
-    ] + [[[2**300] * 9], [[1] * 20, [1] * 19]]
-    assert [_words(lists) > 40 for lists in pool[-2:]] == [True, True]
-    hits = evictions = skips = 0
-    for _ in range(600):
-        lists = rng.choice(pool)
-        before = dict(table)
-        got = PolynomialFamily.from_coeff_lists(lists)
-        assert got == fam(*lists)
-        key = (PolynomialFamily, "mono", tuple(map(tuple, lists)))
-        hits += key in before and got is before[key]
-        evictions += any(k not in table for k in before)
-        skips += key not in table
-        held = canvdw.polynomial._families_held
-        assert held == sum(_words(k[2]) for k in table) <= 40
-    assert hits > 100 and evictions > 20 and skips > 10

@@ -7,7 +7,6 @@ import tracemalloc
 import pytest
 
 import canvdw.coloring
-import canvdw.polynomial
 import canvdw.witness
 from canvdw.coloring import TypedColouring, colouring_digest, enumerate_colourings, serialize
 from canvdw.polynomial import FormatError, PolynomialFamily
@@ -381,15 +380,9 @@ def test_malformed_certificate_messages_are_fixed():
         assert str(e.value) == f"malformed certificate: {message}", obj
 
 
-def test_certificate_text_with_the_family_text_cold_warm_and_evicted(monkeypatch):
+def test_certificate_text_with_the_family_text_cold_and_warm():
     # The polys text to_json keeps on each family gives the bytes of
-    # json.dumps(..., indent=2): rendered afresh, kept on the family, and
-    # rendered afresh for the new families read after the family table
-    # dropped theirs.  Each family is read once, into an empty family
-    # table, and shared by every certificate read back while it is held.
-    table: dict = {}
-    monkeypatch.setattr(canvdw.polynomial, "_families", table)
-    monkeypatch.setattr(canvdw.polynomial, "_families_held", 0)
+    # json.dumps(..., indent=2): rendered afresh, and kept on the family.
     big = 10**40
     read = PolynomialFamily.from_coeff_lists
     monos = (read([[1], [2]]), read([[-1], [0, 1]]), read([[-2, 0, 1]]), read([[1], [big, -big]]))
@@ -412,26 +405,13 @@ def test_certificate_text_with_the_family_text_cold_warm_and_evicted(monkeypatch
         assert back.to_json() == text
         if cert.kind != "é✓":
             assert back == cert
-        return back
 
     for cert in certs:  # cold
         object.__setattr__(cert.family, "_polys_text", None)
-        assert round_trip(cert).family is cert.family
+        round_trip(cert)
     for cert in certs:  # warm
         assert cert.family._polys_text is not None
-        assert round_trip(cert).family is cert.family
-    # Evicted: with room for about one family, most reads of a new one
-    # empty the table, and the family read back is a new one with no text.
-    monkeypatch.setattr(canvdw.polynomial, "_FAMILY_TABLE_WORDS", 9)
-    table.clear()
-    monkeypatch.setattr(canvdw.polynomial, "_families_held", 0)
-    rng.shuffle(certs)
-    fresh = 0
-    for cert in certs:
-        back = round_trip(cert)
-        fresh += back.family is not cert.family
-        assert canvdw.polynomial._families_held <= 9
-    assert fresh > 20
+        round_trip(cert)
 
 
 def test_verify_certificate_rejections():
@@ -729,6 +709,22 @@ def test_plan_cache_evicts_oldest_inserted_plans_within_its_bound(monkeypatch):
         assert sum(map(len, plans.values())) <= 1000
         assert len(probes) <= 1000
     assert evicted > 50
+
+
+def test_plan_cache_does_not_keep_a_plan_over_its_bound(monkeypatch):
+    # A plan with more probes than the whole bound is scanned but not kept,
+    # and its probes are not kept interned either, even when the cache was
+    # empty before it.
+    plans: dict = {}
+    probes: dict = {}
+    monkeypatch.setattr(canvdw.witness, "_plans", plans)
+    monkeypatch.setattr(canvdw.witness, "_probes", probes)
+    monkeypatch.setattr(canvdw.witness, "_PLAN_CACHE_PROBES", 100)
+    rng = random.Random(35)
+    mono = fam([1], [2])
+    for c in (TypedColouring.single((0,) * 40), random_colouring(rng, 40, 1, None, 3)):
+        assert first_witness(c, mono) == reference_first_witness(c, mono)
+        assert plans == {} and probes == {}
 
 
 def test_witness_outcome_survives_relabeling():
